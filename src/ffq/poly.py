@@ -4,19 +4,24 @@ Coefficient lists are ascending and never carry trailing zeros, so equal
 polynomials have equal lists.  The zero polynomial has an empty list and
 degree ``float("-inf")``.
 
-Multiplication dispatches on operand size and field:
+Over a prime field every kernel works on raw int lists with inline
+arithmetic; the per-element path through the field's methods is kept only
+for extension fields F_{p^m}.
 
-* prime fields, small operands: schoolbook on ints;
-* prime fields, larger operands with coefficients that fit a 64-bit lane:
-  Kronecker substitution, i.e. the coefficient vectors are packed into two
-  big Python integers whose product (subquadratic via CPython's Karatsuba)
-  is unpacked and reduced lane by lane with numpy;
-* everything else above the threshold: explicit Karatsuba.
+Multiplication over a prime field is schoolbook for small operands and
+otherwise one Kronecker substitution: the coefficient vectors are packed
+into two big Python integers whose product (subquadratic via CPython's
+Karatsuba) is unpacked and reduced lane by lane.  Lanes of at most 64 bits
+are packed and reduced with numpy; wider lanes, for large p, are sliced
+byte-wise with ``int.to_bytes``/``int.from_bytes``.  Extension fields use
+schoolbook or explicit Karatsuba on field elements.
 
-Division by large monic divisors over a prime field uses a cached Newton
-series inverse of the reversed divisor, making repeated reduction modulo a
-fixed polynomial quasi-linear after the first call.  Modular composition uses
-Horner for small outer degree and Brent-Kung baby-step/giant-step above it.
+Division over a prime field is schoolbook with lazy reduction, and division
+by large monic divisors uses a cached Newton series inverse of the reversed
+divisor, making repeated reduction modulo a fixed polynomial quasi-linear
+after the first call.  Euclid over a prime field runs its whole remainder
+chain on int lists.  Modular composition uses Horner for small outer degree
+and Brent-Kung baby-step/giant-step above it.
 
 Module-level counters track multiplications and modular compositions so
 benchmarks can report work alongside wall time.
@@ -83,60 +88,33 @@ _PACK_WIDTHS = ((16, "<u2"), (32, "<u4"), (64, "<u8"))
 
 
 def _pack_width(nmin: int, p: int):
-    # A packed lane must hold nmin products of two coefficients plus carries.
+    """Lane width in bytes and numpy dtype for packing coefficients below p.
+
+    A lane must hold nmin products of two coefficients plus carries.  Lanes
+    of at most 64 bits are packed with numpy; a wider lane takes the fewest
+    whole bytes that suffice and has dtype None.
+    """
     need = (nmin * (p - 1) * (p - 1)).bit_length() + 1
     for w, dt in _PACK_WIDTHS:
         if need <= w:
             return w // 8, dt
-    return None, None
+    return (need + 7) // 8, None
 
 
-def _mul_packed(a: list[int], b: list[int], p: int, wb: int, dt: str) -> list[int]:
-    pa = int.from_bytes(np.array(a, dtype=dt).tobytes(), "little")
-    pb = int.from_bytes(np.array(b, dtype=dt).tobytes(), "little")
-    prod = pa * pb
-    ln = len(a) + len(b) - 1
-    buf = prod.to_bytes(ln * wb + wb, "little")
-    lanes = np.frombuffer(buf[: ln * wb], dtype=dt)
-    return (lanes.astype(np.int64) % p).tolist()
+def _pack(a: list[int], wb: int, dt) -> int:
+    """Kronecker substitution: the ascending lanes ``a`` as one integer."""
+    if dt is not None:
+        return int.from_bytes(np.array(a, dtype=dt).tobytes(), "little")
+    return int.from_bytes(b"".join([c.to_bytes(wb, "little") for c in a]), "little")
 
 
-def _kara_raw(a: list[int], b: list[int]) -> list[int]:
-    """Karatsuba on raw int lists; no modular reduction inside."""
-    n = min(len(a), len(b))
-    if n <= SCHOOLBOOK_MAX:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return out
-    h = n // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _kara_raw(a0, b0)
-    z2 = _kara_raw(a1, b1)
-    sa = [x + y for x, y in _pad_zip(a0, a1)]
-    sb = [x + y for x, y in _pad_zip(b0, b1)]
-    z1 = _kara_raw(sa, sb)
-    for i, v in enumerate(z0):
-        z1[i] -= v
-    for i, v in enumerate(z2):
-        z1[i] -= v
-    out = [0] * (len(a) + len(b) - 1)
-    for i, v in enumerate(z0):
-        out[i] += v
-    for i, v in enumerate(z1):
-        out[i + h] += v
-    for i, v in enumerate(z2):
-        out[i + 2 * h] += v
-    return out
-
-
-def _pad_zip(a: list, b: list):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
+def _unpack(v: int, n: int, wb: int, dt, p: int) -> list[int]:
+    """The lowest ``n`` lanes of ``v``, each reduced mod p."""
+    buf = v.to_bytes(n * wb + wb, "little")
+    if dt is not None:
+        lanes = np.frombuffer(buf, dtype=dt, count=n)
+        return (lanes.astype(np.int64) % p).tolist()
+    return [int.from_bytes(buf[i : i + wb], "little") % p for i in range(0, n * wb, wb)]
 
 
 def _mul_int(a: list[int], b: list[int], p: int) -> list[int]:
@@ -144,9 +122,30 @@ def _mul_int(a: list[int], b: list[int], p: int) -> list[int]:
     if nmin <= SCHOOLBOOK_MAX:
         return _school_int(a, b, p)
     wb, dt = _pack_width(nmin, p)
-    if wb is not None:
-        return _mul_packed(a, b, p, wb, dt)
-    return [v % p for v in _kara_raw(a, b)]
+    prod = _pack(a, wb, dt) * _pack(b, wb, dt)
+    return _unpack(prod, len(a) + len(b) - 1, wb, dt, p)
+
+
+def _divmod_int(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Schoolbook quotient and remainder of raw int lists; b[-1] != 0.
+
+    Reduction is lazy: each step subtracts c*b from the running remainder
+    without reducing it mod p, and only the step's leading coefficient and
+    the final remainder are reduced.  The remainder has no trailing zeros.
+    """
+    db = len(b) - 1
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = r[i] * inv % p
+        if c:
+            q[i - db] = c
+            r[i - db : i] = [x - c * y for x, y in zip(r[i - db : i], b)]
+    r = [v % p for v in r[:db]]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
 
 def _school_gen(a: list, b: list, ctx: FieldCtx) -> list:
@@ -312,25 +311,31 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
         ctx = self.ctx
-        add = ctx.add
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = [add(x, y) for x, y in zip(a, b)]
+        if ctx.m == 1:
+            p = ctx.p
+            out = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            add = ctx.add
+            out = [add(x, y) for x, y in zip(a, b)]
         out.extend(a[len(b) :])
         return Poly(ctx, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
         ctx = self.ctx
-        sub = ctx.sub
         a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        zero = ctx.zero
-        out = [
-            sub(a[i] if i < len(a) else zero, b[i] if i < len(b) else zero)
-            for i in range(n)
-        ]
+        if ctx.m == 1:
+            p = ctx.p
+            out = [(x - y) % p for x, y in zip(a, b)]
+            out.extend([(-y) % p for y in b[len(a) :]])
+        else:
+            sub, neg = ctx.sub, ctx.neg
+            out = [sub(x, y) for x, y in zip(a, b)]
+            out.extend([neg(y) for y in b[len(a) :]])
+        out.extend(a[len(b) :])
         return Poly(ctx, out)
 
     def __neg__(self) -> "Poly":
@@ -341,6 +346,9 @@ class Poly:
         ctx = self.ctx
         if c == ctx.zero:
             return Poly.zero(ctx)
+        if ctx.m == 1:
+            p = ctx.p
+            return Poly(ctx, [v * c % p for v in self.coeffs])
         mul = ctx.mul
         return Poly(ctx, [mul(v, c) for v in self.coeffs])
 
@@ -400,16 +408,19 @@ class Poly:
         la, lb = len(self.coeffs), len(other.coeffs)
         if la < lb:
             return Poly.zero(ctx), self
+        if ctx.m != 1:
+            return self._divmod_school(other)
         if (
-            ctx.m == 1
-            and other.coeffs[-1] == 1
+            other.coeffs[-1] == 1
             and lb >= _FAST_DIV_MIN_DIVISOR
             and la - lb >= _FAST_DIV_MIN_QUOTIENT
         ):
             return self._divmod_fast(other)
-        return self._divmod_school(other)
+        q, r = _divmod_int(self.coeffs, other.coeffs, ctx.p)
+        return Poly(ctx, q, normalize=False), Poly(ctx, r, normalize=False)
 
     def _divmod_school(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Schoolbook division through the field's element operations."""
         ctx = self.ctx
         zero = ctx.zero
         r = list(self.coeffs)
@@ -484,9 +495,18 @@ def gcd(a: Poly, b: Poly) -> Poly:
         raise errors.FieldMismatch("operands from different fields")
     if a.is_zero() and b.is_zero():
         raise errors.BothZero("gcd(0, 0) is undefined")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    ctx = a.ctx
+    if ctx.m != 1:
+        while not b.is_zero():
+            a, b = b, a % b
+        return a.monic()
+    # Prime field: the whole remainder chain on raw int lists.
+    p = ctx.p
+    u, v = a.coeffs, b.coeffs
+    while v:
+        u, v = v, _divmod_int(u, v, p)[1]
+    inv = pow(u[-1], -1, p)
+    return Poly(ctx, [c * inv % p for c in u], normalize=False)
 
 
 def mulmod(a: Poly, b: Poly, f: Poly) -> Poly:
@@ -563,12 +583,7 @@ def _bsgs_blocks_packed(coeffs, G, t, nblocks, f, p):
     n = len(f.coeffs) - 1
     wb, dt = _pack_width(t, p)
     ctx = f.ctx
-    if wb is None:
-        return _bsgs_blocks_generic(coeffs, G, t, nblocks, ctx)
-    packed = []
-    for j in range(t):
-        gj = G[j].coeffs
-        packed.append(int.from_bytes(np.array(gj, dtype=dt).tobytes(), "little"))
+    packed = [_pack(G[j].coeffs, wb, dt) for j in range(t)]
     out = []
     for i in range(nblocks):
         chunk = coeffs[i * t : (i + 1) * t]
@@ -579,9 +594,7 @@ def _bsgs_blocks_packed(coeffs, G, t, nblocks, f, p):
         if acc == 0:
             out.append(Poly.zero(ctx))
             continue
-        buf = acc.to_bytes(n * wb + wb, "little")
-        lanes = np.frombuffer(buf[: n * wb], dtype=dt)
-        out.append(Poly(ctx, (lanes.astype(np.int64) % p).tolist()))
+        out.append(Poly(ctx, _unpack(acc, n, wb, dt, p)))
     return out
 
 

@@ -6,6 +6,7 @@ from ffq import errors, field_new
 from ffq.poly import (
     Endo,
     Poly,
+    _divmod_int,
     counters,
     frobenius,
     gcd,
@@ -96,11 +97,15 @@ def test_divmod_matches_reference():
 
 
 def test_divmod_fast_and_schoolbook_agree():
+    """Newton division against the int schoolbook kernel that runs below its
+    thresholds, and against the generic element-wise schoolbook."""
     rng = make_rng(13)
     for _ in range(20):
         a = random_poly(F5, int(rng.integers(64, 160)), rng)
         b = random_monic(F5, int(rng.integers(16, 40)), rng)
         q, r = a._divmod_fast(b)
+        qi, ri = _divmod_int(a.coeffs, b.coeffs, F5.p)
+        assert q.coeffs == qi and r.coeffs == ri
         qs, rs = a._divmod_school(b)
         assert q == qs and r == rs
 
@@ -136,6 +141,32 @@ def test_gcd_properties():
     assert gcd(f, Poly.zero(F5)) == f.monic()
     with pytest.raises(errors.BothZero):
         gcd(Poly.zero(F5), Poly.zero(F5))
+
+
+@pytest.mark.parametrize("ctx", [F5, F9], ids=["F5", "F9"])
+def test_gcd_edge_cases(ctx):
+    rng = make_rng(67)
+    zero = Poly.zero(ctx)
+    two = ctx.from_int(2)
+    c = random_monic(ctx, 3, rng)
+    f = (random_monic(ctx, 4, rng) * c).scaled(two)  # not monic
+    assert not f.is_monic()
+    assert gcd(f, zero) == f.monic()
+    assert gcd(zero, f) == f.monic()
+    g = (random_monic(ctx, 5, rng) * c).scaled(two)
+    h = gcd(f, g)
+    assert h.is_monic() and h % c == zero and f % h == zero and g % h == zero
+    # coprime inputs: a nonzero constant gcd comes back as 1
+    x = x_poly(ctx)
+    assert gcd(x.shift(2) + Poly.one(ctx), x.scaled(two)) == Poly.one(ctx)
+    assert gcd(Poly.const(ctx, two), f) == Poly.one(ctx)
+    with pytest.raises(errors.BothZero):
+        gcd(zero, zero)
+    other = F3 if ctx is F5 else F5
+    with pytest.raises(errors.FieldMismatch):
+        gcd(f, x_poly(other))
+    with pytest.raises(errors.FieldMismatch):
+        gcd(zero, Poly.zero(other))
 
 
 def test_powmod_matches_repeated_multiplication():
