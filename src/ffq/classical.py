@@ -9,6 +9,8 @@ seed the measurement simulation with true orders).  The pieces are
 * ``is_irreducible``: Rabin's criterion, same powering chain;
 * ``irreducibles``: exhaustive sieve enumeration of monic irreducibles for
   tiny q^d, cached per field;
+* ``split_probe``: one equal-degree splitting attempt, shared by
+  ``equal_degree_split_det`` and the randomized ``factor.edf``;
 * ``equal_degree_split_det``: deterministic equal-degree splitting (fixed
   test-element sequence instead of random draws);
 * ``brute_factor``: trial-division factorization over the enumerated
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 
 from . import errors
-from .fields import FieldCtx
+from .fields import FieldCtx, factor_int
 from .poly import Poly, gcd, mulmod, poly_pth_root, powmod, x_poly
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "is_irreducible",
     "irreducibles",
     "equal_degree_split_det",
+    "split_probe",
     "brute_factor",
     "BRUTE_MAX_DEGREE",
     "BRUTE_MAX_Q",
@@ -87,17 +90,7 @@ def is_irreducible(f: Poly) -> bool:
         return True
     ctx = f.ctx
     x = x_poly(ctx)
-    checks = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            checks.add(n // d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        checks.add(n // m)
+    checks = {n // t for t in factor_int(n)}
     w = x % f
     for i in range(1, n + 1):
         w = powmod(w, ctx.q, f)
@@ -170,8 +163,14 @@ def _test_elements(ctx: FieldCtx, max_degree: int):
         idx += 1
 
 
-def _split_probe(h: Poly, d: int, u: Poly) -> Poly:
-    """One splitting attempt on h (product of distinct degree-d irreducibles)."""
+def split_probe(h: Poly, d: int, u: Poly) -> Poly:
+    """One splitting attempt on h (product of distinct degree-d irreducibles).
+
+    Odd q: gcd(u^((q^d-1)/2) - 1, h).  Characteristic 2: gcd of h with the
+    absolute trace u + u^2 + ... + u^(2^(dm-1)).  Returns h itself when the
+    probe polynomial vanishes mod h, so a result of degree 0 or deg h means
+    "no split, draw another u".
+    """
     ctx = h.ctx
     if ctx.p != 2:
         e = (ctx.q**d - 1) // 2
@@ -205,7 +204,7 @@ def equal_degree_split_det(f: Poly, d: int) -> list[Poly]:
             if h.degree == d:
                 done.append(h)
                 continue
-            g = _split_probe(h, d, u)
+            g = split_probe(h, d, u)
             if 0 < g.degree < h.degree:
                 still.append(g)
                 still.append(h // g)

@@ -40,7 +40,7 @@ from .order import (
     OrderOracle,
     estimate_order,
 )
-from .poly import counters, frobenius, gcd, random_monic, reset_counters
+from .poly import counters, frobenius, random_monic, random_squarefree, reset_counters
 from .rng import make_rng, trial_rng
 from .textio import (
     format_base_modulus,
@@ -298,16 +298,6 @@ def cmd_stats_factor_count(args) -> int:
     return EXIT_OK
 
 
-def _random_squarefree_monic(ctx, n, rng):
-    while True:
-        f = random_monic(ctx, n, rng)
-        der = f.deriv()
-        if der.is_zero():
-            continue
-        if gcd(f, der).degree == 0:
-            return f
-
-
 def cmd_stats_splitting_degree(args) -> int:
     seed = _resolve_seed(args)
     ctx = _build_field(args, make_rng(seed))
@@ -320,7 +310,7 @@ def cmd_stats_splitting_degree(args) -> int:
     hist: dict[int, int] = {}
     for i in range(args.trials):
         rng = trial_rng(seed, i)
-        f = _random_squarefree_monic(ctx, args.n, rng)
+        f = random_squarefree(ctx, args.n, rng)
         d = splitting_degree(f)
         hist[d] = hist.get(d, 0) + 1
         ln_d = math.log(d)
@@ -363,7 +353,7 @@ def cmd_bench(args) -> int:
     writer.writerow(["n", "compositions", "multiplications", "wall_ms", "depth", "fallbacks"])
     for idx, n in enumerate(sizes):
         rng = trial_rng(seed, idx)
-        f = _random_squarefree_monic(ctx, n, rng) if n > 1 else random_monic(ctx, 1, rng)
+        f = random_squarefree(ctx, n, rng)
         trace = []
         reset_counters()
         t0 = time.perf_counter()

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import errors
-from .classical import brute_factor, is_irreducible
+from .classical import brute_factor, is_irreducible, split_probe
 from .ddf import ddf
 from .order import OracleConfig, OrderOracle
-from .poly import Poly, gcd, mulmod, poly_pth_root, powmod, random_poly
+from .poly import Poly, gcd, poly_pth_root
 from .rng import make_rng
 
 __all__ = [
@@ -85,9 +85,11 @@ def sff(f: Poly) -> list[tuple[Poly, int]]:
 def edf(f: Poly, d: int, rng=None) -> list[Poly]:
     """Split monic f, a product of distinct degree-d irreducibles.
 
-    Odd q: gcd with u^((q^d-1)/2) - 1 for random u separates the factors
-    with probability >= 1/2 per round.  Characteristic 2: the same role is
-    played by the absolute trace sum u + u^2 + ... + u^(2^(dm-1)).
+    Each round takes an unsplit block h, draws a random nonconstant u of
+    degree < deg h and runs ``classical.split_probe``: for odd q, gcd with
+    u^((q^d-1)/2) - 1 separates the factors with probability >= 1/2; in
+    characteristic 2 the absolute trace sum u + u^2 + ... + u^(2^(dm-1))
+    plays the same role.
     """
     if d < 1 or f.degree < 1 or f.degree % d != 0:
         raise errors.BadInput("degree of f must be a positive multiple of d")
@@ -109,25 +111,12 @@ def edf(f: Poly, d: int, rng=None) -> list[Poly]:
         if u.degree < 1:
             work.append(h)  # constants never split; redraw
             continue
-        if ctx.p != 2:
-            e = (ctx.q**d - 1) // 2
-            t = powmod(u, e, h) - Poly.one(ctx)
-        else:
-            acc = u % h
-            cur = acc
-            for _ in range(d * ctx.m - 1):
-                cur = mulmod(cur, cur, h)
-                acc = acc + cur
-            t = acc
-        if t.is_zero():
-            work.append(h)
-            continue
-        g = gcd(t, h)
+        g = split_probe(h, d, u)
         if 0 < g.degree < h.degree:
             work.append(g)
             work.append(h // g)
         else:
-            work.append(h)
+            work.append(h)  # no split; redraw
     done.sort(key=Poly.sort_key)
     return done
 

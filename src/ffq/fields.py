@@ -11,10 +11,17 @@ Because elements are bare values they carry no back-reference to their field;
 mixing elements of different fields is the caller's responsibility at this
 layer.  The polynomial layer, whose objects do carry a context, raises
 ``FieldMismatch`` on any cross-field operation.
+
+Extension moduli are tested with the classical Rabin criterion on ``Poly``
+over the prime field, so F_p[y] arithmetic has one implementation, in
+poly.py.  Integer arithmetic also lives here, in one place for the package:
+Miller-Rabin primality and ``factor_int`` (trial division plus Pollard rho),
+which both Rabin's test and the order oracle use.
 """
 
 from __future__ import annotations
 
+import math
 import random as _random
 
 import numpy as np
@@ -28,6 +35,7 @@ __all__ = [
     "ExtensionField",
     "field_new",
     "is_probable_prime",
+    "factor_int",
 ]
 
 _MR_ROUNDS = 64
@@ -64,133 +72,68 @@ def is_probable_prime(n: int, rounds: int = _MR_ROUNDS) -> bool:
     return True
 
 
-# ----------------------------------------------------------------------
-# Internal dense polynomial arithmetic over F_p (int coefficient lists).
-# Used only to build and run extension fields; the public polynomial ring
-# lives in poly.py.
-# ----------------------------------------------------------------------
+def _pollard_rho(n: int) -> int:
+    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    if n % 2 == 0:
+        return 2
+    seed = 1
+    while True:
+        y, c, m = 2 + seed, 1 + seed, 128
+        g, r, q = 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r <<= 1
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+        seed += 1
 
 
-def _pnorm(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _pnorm([v % p for v in out])
-
-
-def _pdivrem(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    db = len(b) - 1
-    if len(r) - 1 < db:
-        return [], _pnorm(r)
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * (len(r) - db)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i] % p
-        if c:
-            c = (c * inv_lead) % p
-            q[i - db] = c
-            for j in range(db + 1):
-                r[i - db + j] = (r[i - db + j] - c * b[j]) % p
-    return _pnorm(q), _pnorm(r)
-
-
-def _pmod(a: list[int], b: list[int], p: int) -> list[int]:
-    return _pdivrem(a, b, p)[1]
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(v * inv) % p for v in a]
-    return a
-
-
-def _pegcd_inv(a: list[int], h: list[int], p: int) -> list[int]:
-    """Inverse of ``a`` modulo ``h`` (both over F_p); a must be a unit."""
-    r0, r1 = list(h), list(a)
-    t0: list[int] = []
-    t1: list[int] = [1]
-    while r1:
-        q, rem = _pdivrem(r0, r1, p)
-        r0, r1 = r1, rem
-        qt = _pmul(q, t1, p)
-        nt = [(x - y) % p for x, y in _zip_pad(t0, qt)]
-        t0, t1 = t1, _pnorm(nt)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    inv_c = pow(r0[0], p - 2, p)
-    return [(v * inv_c) % p for v in t0]
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
-
-
-def _ppowmod(base: list[int], e: int, h: list[int], p: int) -> list[int]:
-    result = [1]
-    cur = _pmod(base, h, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, cur, p), h, p)
-        e >>= 1
-        if e:
-            cur = _pmod(_pmul(cur, cur, p), h, p)
-    return result
-
-
-def _pirreducible(h: list[int], p: int) -> bool:
-    """Rabin's test for a monic polynomial over F_p of degree >= 1."""
-    m = len(h) - 1
-    if m < 1:
-        return False
-    y = [0, 1]
-    # y^(p^m) == y mod h
-    w = _pmod(y, h, p)
-    for _ in range(m):
-        w = _ppowmod(w, p, h, p)
-    if _pnorm([(a - b) % p for a, b in _zip_pad(w, _pmod(y, h, p))]):
-        return False
-    # gcd(y^(p^(m/t)) - y, h) == 1 for each prime t dividing m
-    for t in _prime_divisors(m):
-        w = _pmod(y, h, p)
-        for _ in range(m // t):
-            w = _ppowmod(w, p, h, p)
-        diff = _pnorm([(a - b) % p for a, b in _zip_pad(w, _pmod(y, h, p))])
-        g = _pgcd(diff, h, p)
-        if len(g) != 1:
-            return False
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def factor_int(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {prime: exponent}."""
+    if n < 1:
+        raise errors.BadInput("factor_int needs n >= 1")
+    fac: dict[int, int] = {}
+    for d in (2, 3, 5):
+        while n % d == 0:
+            fac[d] = fac.get(d, 0) + 1
+            n //= d
+    d = 7
+    inc = (4, 2, 4, 2, 4, 6, 2, 6)
+    i = 0
+    while d * d <= n and d < 10_000:
+        while n % d == 0:
+            fac[d] = fac.get(d, 0) + 1
+            n //= d
+        d += inc[i]
+        i = (i + 1) % 8
+    stack = [n] if n > 1 else []
+    while stack:
+        v = stack.pop()
+        if v == 1:
+            continue
+        if is_probable_prime(v):
+            fac[v] = fac.get(v, 0) + 1
+            continue
+        g = _pollard_rho(v)
+        stack.append(g)
+        stack.append(v // g)
+    return fac
 
 
 # ----------------------------------------------------------------------
@@ -361,11 +304,9 @@ class ExtensionField(FieldCtx):
         return tuple(v % p for v in conv[:m])
 
     def inv(self, a):
-        lst = _pnorm(list(a))
-        if not lst:
+        if a == self._zero:
             raise ZeroDivisionError("inverse of zero")
-        t = _pegcd_inv(lst, list(self.h), self.p)
-        return tuple(t + [0] * (self.m - len(t)))
+        return self.pow(a, self.q - 2)
 
     def pow(self, a, e: int):
         if e < 0:
@@ -423,6 +364,10 @@ def field_new(
     length m + 1) may be supplied; otherwise one is found by random search
     using ``rng``.  Prime fields always use h = y.
     """
+    # classical imports poly, which imports this module.
+    from .classical import is_irreducible
+    from .poly import Poly
+
     if not isinstance(p, int) or p < 2 or not is_probable_prime(p):
         raise errors.NotPrime(f"{p} is not prime")
     if m < 1:
@@ -439,7 +384,7 @@ def field_new(
             raise errors.DegreeMismatch(
                 f"modulus must be monic of degree {m}, got {list(h)}"
             )
-        if not _pirreducible(hh, p):
+        if not is_irreducible(Poly(PrimeField(p), hh)):
             raise errors.Reducible(f"modulus {list(h)} is reducible over F_{p}")
         return ExtensionField(p, hh)
     if rng is None:
@@ -448,5 +393,5 @@ def field_new(
     # about 1/m, so this loop is short.
     while True:
         cand = [rand_below(rng, p) for _ in range(m)] + [1]
-        if _pirreducible(cand, p):
+        if is_irreducible(Poly(PrimeField(p), cand)):
             return ExtensionField(p, cand)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .fields import is_probable_prime
+from .fields import factor_int
 from .poly import Endo, modcomp
 from .rng import make_rng, rand_below
 
@@ -256,70 +256,6 @@ class _PowerLadder:
         if e == 0:
             return True
         return self.image_of_power(e) == self.ident
-
-
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    seed = 1
-    while True:
-        y, c, m = 2 + seed, 1 + seed, 128
-        g, r, q = 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r <<= 1
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-        seed += 1
-
-
-def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
-    if n < 1:
-        raise errors.BadInput("factor_int needs n >= 1")
-    fac: dict[int, int] = {}
-    for d in (2, 3, 5):
-        while n % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            n //= d
-    d = 7
-    inc = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d * d <= n and d < 10_000:
-        while n % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            n //= d
-        d += inc[i]
-        i = (i + 1) % 8
-    stack = [n] if n > 1 else []
-    while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
-        if is_probable_prime(v):
-            fac[v] = fac.get(v, 0) + 1
-            continue
-        g = _pollard_rho(v)
-        stack.append(g)
-        stack.append(v // g)
-    return fac
 
 
 def _minimize_verified(c: int, ladder: _PowerLadder) -> int:

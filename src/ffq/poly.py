@@ -48,6 +48,7 @@ __all__ = [
     "poly_pth_root",
     "random_poly",
     "random_monic",
+    "random_squarefree",
     "reset_counters",
     "counters",
 ]
@@ -487,6 +488,17 @@ def random_poly(ctx: FieldCtx, degree: int, rng) -> Poly:
 def random_monic(ctx: FieldCtx, degree: int, rng) -> Poly:
     coeffs = [ctx.rand(rng) for _ in range(degree)] + [ctx.one]
     return Poly(ctx, coeffs, normalize=False)
+
+
+def random_squarefree(ctx: FieldCtx, degree: int, rng) -> Poly:
+    """Random monic squarefree polynomial, by redrawing ``random_monic``."""
+    if degree < 1:
+        raise errors.BadInput("a squarefree polynomial needs degree >= 1")
+    while True:
+        f = random_monic(ctx, degree, rng)
+        der = f.deriv()
+        if not der.is_zero() and gcd(f, der).degree == 0:
+            return f
 
 
 def gcd(a: Poly, b: Poly) -> Poly:

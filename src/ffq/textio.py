@@ -20,7 +20,7 @@ coefficients bracketed except for a scalar constant term.
 from __future__ import annotations
 
 from . import errors
-from .fields import FieldCtx, _pmod
+from .fields import FieldCtx, PrimeField
 from .poly import Poly
 
 __all__ = [
@@ -181,7 +181,8 @@ def parse_element(text: str, ctx: FieldCtx):
         return vals[0] if vals else 0
     vals = _parse_int_terms(t, "y", ctx.p, "element")
     if len(vals) > ctx.m:
-        vals = _pmod(vals, list(ctx.h), ctx.p)
+        base = PrimeField(ctx.p)
+        vals = (Poly(base, vals) % Poly(base, ctx.h)).coeffs
     return tuple(vals + [0] * (ctx.m - len(vals)))
 
 

@@ -1,12 +1,12 @@
 """Shared construction helpers for the test suite.
 
 Everything here builds inputs with known structure (irreducibles of a
-prescribed degree, squarefree polynomials) so tests can check results
-against the construction instead of against the code under test.
+prescribed degree, products of distinct irreducibles) so tests can check
+results against the construction instead of against the code under test.
 """
 
 from ffq import is_irreducible
-from ffq.poly import Poly, gcd, random_monic
+from ffq.poly import Poly, random_monic
 
 
 def rand_irreducible(ctx, d, rng):
@@ -14,17 +14,6 @@ def rand_irreducible(ctx, d, rng):
     while True:
         f = random_monic(ctx, d, rng)
         if is_irreducible(f):
-            return f
-
-
-def rand_squarefree(ctx, n, rng):
-    """Random monic squarefree polynomial of degree n."""
-    while True:
-        f = random_monic(ctx, n, rng)
-        der = f.deriv()
-        if der.is_zero():
-            continue
-        if gcd(f, der).degree == 0:
             return f
 
 

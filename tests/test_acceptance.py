@@ -27,10 +27,10 @@ from ffq.order import (
     rational_reconstruct,
     sample_measurement,
 )
-from ffq.poly import Poly, counters, frobenius, random_monic, reset_counters
+from ffq.poly import Poly, counters, frobenius, random_monic, random_squarefree, reset_counters
 from ffq.rng import make_rng, trial_rng
 
-from helpers import all_monic, distinct_irreducibles, product, rand_irreducible, rand_squarefree
+from helpers import all_monic, distinct_irreducibles, product, rand_irreducible
 
 
 def report(capfd, ok, label, detail):
@@ -140,7 +140,7 @@ def test_05_recursion_depth_bound(capfd):
         cap = 2 * math.log2(n) + 4
         for i in range(200):
             rng = trial_rng(777000 + n, i)
-            f = rand_squarefree(F3, n, rng)
+            f = random_squarefree(F3, n, rng)
             trace = []
             res = ddf(f, OrderOracle(OracleConfig()), rng, trace=trace)
             assert res.parts == distinct_degree_parts(f)
@@ -239,7 +239,7 @@ def test_09_composition_count_scaling(capfd):
         counts = []
         for i in range(3):
             rng = trial_rng(31337 + n, i)
-            f = rand_squarefree(F3, n, rng)
+            f = random_squarefree(F3, n, rng)
             reset_counters()
             ddf(f, OrderOracle(OracleConfig()), rng)
             counts.append(counters()["modcomp"])
@@ -275,7 +275,7 @@ def test_10_reconstruction_audit_is_live(capfd):
     rng = make_rng(37)
     clean = 0
     for _ in range(10):
-        g = rand_squarefree(F2, 12, rng)
+        g = random_squarefree(F2, 12, rng)
         res = factor(g, OrderOracle(OracleConfig()), rng)
         if res.product(F2) == g:
             clean += 1

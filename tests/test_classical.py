@@ -1,12 +1,15 @@
 """The deterministic reference path: irreducibility, enumeration, brute force.
 
 These routines are the reference oracle for the engine tests, so they are
-checked against constructions and counting formulas rather than other code.
+checked against constructions, counting formulas and sympy's galoistools
+rather than other ffq code.
 """
 
 import math
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from ffq import errors, field_new
 from ffq.classical import (
@@ -43,6 +46,17 @@ def test_is_irreducible_fixed_cases():
     assert not is_irreducible(Poly(F5, [0, 0, 1]))  # x^2
     with pytest.raises(errors.BadInput):
         is_irreducible(Poly(F3, [2]))  # constants are units, not factors
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_is_irreducible_matches_sympy_at_degree_six(p):
+    # 6 has two prime divisors, so Rabin's test runs a gcd check at 6/2 and
+    # at 6/3 as well as the final x^(q^6) == x test.
+    ctx = field_new(p)
+    verdicts = [is_irreducible(f) for f in all_monic(ctx, 6)]
+    oracle = [gf_irreducible_p(f.coeffs[::-1], p, ZZ) for f in all_monic(ctx, 6)]
+    assert verdicts == oracle
+    assert sum(verdicts) == count_irreducibles(p, 6)
 
 
 def test_products_are_never_irreducible():

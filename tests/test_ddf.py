@@ -19,10 +19,10 @@ from ffq.ddf import (
     smooth_factor,
 )
 from ffq.order import OracleConfig, OrderEstimate, OrderOracle
-from ffq.poly import Poly, frobenius, random_monic
+from ffq.poly import Poly, frobenius, random_monic, random_squarefree
 from ffq.rng import make_rng, trial_rng
 
-from helpers import distinct_irreducibles, product, rand_squarefree
+from helpers import distinct_irreducibles, product
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -67,7 +67,7 @@ def test_smooth_factor_huge_value_uses_the_tree():
 def test_frobenius_power_sequence_matches_direct_powers():
     rng = make_rng(103)
     for ctx, n in [(F2, 10), (F3, 8), (F9, 6)]:
-        f = rand_squarefree(ctx, n, rng)
+        f = random_squarefree(ctx, n, rng)
         s = frobenius(f)
         for pairs in [[(2, 2), (3, 1)], [(2, 1)], [(2, 3), (3, 2), (5, 1)], [(3, 1), (7, 1)]]:
             d = 1
@@ -189,7 +189,7 @@ def test_ddf_matches_classical_on_random_inputs():
         for i in range(count):
             rng = trial_rng(140 + ctx.q, i)
             n = 2 + int(rng.integers(max_n - 1))
-            f = rand_squarefree(ctx, n, rng)
+            f = random_squarefree(ctx, n, rng)
             oracle = OrderOracle(OracleConfig(seed=7))
             got = ddf(f, oracle, rng).parts
             assert got == distinct_degree_parts(f), (ctx.q, i, n)
@@ -229,7 +229,7 @@ def test_ddf_input_validation():
 
 def test_ddf_trace_structure_and_audit():
     rng = make_rng(163)
-    f = rand_squarefree(F3, 30, rng)
+    f = random_squarefree(F3, 30, rng)
     trace = []
     res = ddf(f, OrderOracle(OracleConfig(seed=17)), rng, trace=trace)
     assert res.parts == distinct_degree_parts(f)

@@ -1,9 +1,13 @@
 """Field construction and element arithmetic."""
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from ffq import errors, field_new, is_probable_prime
 from ffq.rng import make_rng, rand_below
+
+from helpers import all_monic
 
 
 def test_primality_known_values():
@@ -24,6 +28,20 @@ def test_field_new_rejects_bad_parameters():
         field_new(3, 2, [2, 0, 1])
     with pytest.raises(errors.DegreeMismatch):
         field_new(3, 2, [1, 1, 0, 1])
+
+
+@pytest.mark.parametrize("p, degrees", [(2, [2, 3, 4, 5]), (3, [2, 3, 4]), (5, [2, 3])])
+def test_modulus_check_matches_sympy(p, degrees):
+    """field_new rejects exactly the monic moduli that sympy finds reducible."""
+    for m in degrees:
+        for h in all_monic(field_new(p), m):
+            h = list(h.coeffs)
+            try:
+                field_new(p, m, h)
+                accepted = True
+            except errors.Reducible:
+                accepted = False
+            assert accepted == gf_irreducible_p(h[::-1], p, ZZ), (p, h)
 
 
 def test_prime_field_inverse_example():
@@ -71,9 +89,20 @@ def test_field_axioms_sampled():
 
 
 def test_fermat_identity_all_elements():
-    for ctx in [field_new(7), field_new(3, 2), field_new(2, 4)]:
+    fields = [
+        field_new(7),
+        field_new(3, 2),
+        field_new(2, 4),
+        field_new(2, 3, [1, 1, 0, 1]),  # F_8 = F_2[y]/(y^3 + y + 1)
+        field_new(5, 2, [2, 0, 1]),  # F_25 = F_5[y]/(y^2 + 2)
+    ]
+    for ctx in fields:
         for a in ctx.iter_elements():
             assert ctx.pow(a, ctx.q) == a
+            if a != ctx.zero:
+                assert ctx.mul(a, ctx.inv(a)) == ctx.one
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(ctx.zero)
 
 
 def test_pth_root_inverts_frobenius():

@@ -16,12 +16,13 @@ from ffq.poly import (
     powmod,
     random_monic,
     random_poly,
+    random_squarefree,
     reset_counters,
     x_poly,
 )
 from ffq.rng import make_rng
 
-from helpers import rand_irreducible, rand_squarefree
+from helpers import rand_irreducible
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -227,7 +228,7 @@ def test_evaluation_and_derivative():
 def test_frobenius_is_the_qth_power_map():
     rng = make_rng(43)
     for ctx in [F2, F3, F9]:
-        f = rand_squarefree(ctx, 7, rng)
+        f = random_squarefree(ctx, 7, rng)
         sig = frobenius(f)
         a = random_poly(ctx, 6, rng)
         assert sig.apply(a) == powmod(a, ctx.q, f)
@@ -258,7 +259,7 @@ def test_frobenius_rejects_non_squarefree():
 
 def test_endo_composition_is_power_addition():
     rng = make_rng(47)
-    f = rand_squarefree(F3, 8, rng)
+    f = random_squarefree(F3, 8, rng)
     sig = frobenius(f)
     for i in range(4):
         for j in range(4):
@@ -298,3 +299,14 @@ def test_pth_root_of_polynomial():
             for _ in range(ctx.p - 1):
                 ap = ap * a
             assert poly_pth_root(ap) == a
+
+
+def test_random_squarefree_draws_squarefree_monics():
+    rng = make_rng(62)
+    for ctx in [F2, F3, F9]:
+        for n in [1, 2, 5, 9]:
+            f = random_squarefree(ctx, n, rng)
+            assert f.degree == n and f.is_monic()
+            assert gcd(f, f.deriv()).degree == 0
+    with pytest.raises(errors.BadInput):
+        random_squarefree(F3, 0, rng)  # a constant has derivative 0: no draw passes

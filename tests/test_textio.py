@@ -16,6 +16,7 @@ from ffq.textio import (
 
 F2 = field_new(2)
 F5 = field_new(5)
+F8 = field_new(2, 3, [1, 1, 0, 1])
 F9 = field_new(3, 2, [1, 0, 1])
 
 
@@ -45,6 +46,16 @@ def test_extension_field_brackets():
     assert parse_element("y+2", F9) == (2, 1)
     assert format_element((2, 1), F9) == "y+2"
     assert format_element((0, 0), F9) == "0"
+
+
+def test_parse_element_reduces_mod_h():
+    # F_9 = F_3[y]/(y^2 + 1): y^2 = -1 = 2 and y^3 = -y = 2y
+    assert parse_element("y^2", F9) == (2, 0)
+    assert parse_element("y^3+1", F9) == (1, 2)
+    # F_8 = F_2[y]/(y^3 + y + 1): y^3 = y + 1, y^4 = y^2 + y, so y^4 + y = y^2
+    assert parse_element("y^3", F8) == (1, 1, 0)
+    assert parse_element("y^4+y", F8) == (0, 0, 1)
+    assert parse_poly("[y^4+y]*x+[y^3]", F8) == Poly(F8, [(1, 1, 0), (0, 0, 1)])
 
 
 def test_base_modulus_round_trip():
