@@ -130,6 +130,13 @@ def _oracle_from(args) -> OrderOracle:
     )
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
 def _dump_trace(trace) -> None:
     for rec in trace:
         sys.stderr.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -445,8 +452,8 @@ def build_parser() -> _Parser:
 
     p_fc = stats_sub.add_parser("factor-count", help="irreducible factor count statistics")
     _add_field_args(p_fc)
-    p_fc.add_argument("--n", type=int, required=True, help="polynomial degree")
-    p_fc.add_argument("--trials", type=int, default=1000)
+    p_fc.add_argument("--n", type=positive_int, required=True, help="polynomial degree")
+    p_fc.add_argument("--trials", type=positive_int, default=1000)
     p_fc.add_argument(
         "--with-multiplicity",
         action="store_true",
@@ -458,8 +465,8 @@ def build_parser() -> _Parser:
 
     p_sd = stats_sub.add_parser("splitting-degree", help="splitting field degree statistics")
     _add_field_args(p_sd)
-    p_sd.add_argument("--n", type=int, required=True, help="polynomial degree (<= 64)")
-    p_sd.add_argument("--trials", type=int, default=1000)
+    p_sd.add_argument("--n", type=positive_int, required=True, help="polynomial degree (<= 64)")
+    p_sd.add_argument("--trials", type=positive_int, default=1000)
     _add_common_args(p_sd)
     p_sd.set_defaults(func=cmd_stats_splitting_degree)
 

@@ -9,6 +9,10 @@ along the prime-power structure of d.  Items whose endomorphism is the
 identity are exactly the distinct-degree parts (all factors have degree s)
 and are emitted.
 
+The Frobenius map is computed once, for the input; a child of stride s*k
+inherits its parent's sigma^s restricted to its modulus, to the k-th power.
+The gcds use the cofactor powers the oracle computed when it verified d.
+
 When an order estimate fails (order above 2^ell), the fallback strips all
 factors of small degree by a classical ladder, which provably shrinks the
 remaining order enough for a retried estimate with a larger ell.
@@ -26,8 +30,8 @@ from dataclasses import dataclass, field
 
 from . import errors
 from .classical import distinct_degree_parts
-from .order import OracleConfig, OrderOracle
-from .poly import Endo, Poly, frobenius, gcd, modcomp, x_poly
+from .order import OracleConfig, OrderOracle, cofactor_powers
+from .poly import Endo, Poly, frobenius, frobenius_power_sequence, gcd, modcomp, x_poly
 from .rng import make_rng
 
 __all__ = [
@@ -162,41 +166,6 @@ def smooth_factor(d: int, n: int, method: str = "auto") -> SmoothFactorization:
 
 
 # ----------------------------------------------------------------------
-# Power sequences of an endomorphism.
-# ----------------------------------------------------------------------
-
-
-def frobenius_power_sequence(
-    s: Endo, fac: list[tuple[int, int]] | SmoothFactorization
-) -> list[Endo]:
-    """[s^(D/p_i) for each (p_i, e_i) in fac], where D = prod p_i^e_i.
-
-    Computed by recursive halving: each half inherits s raised to the other
-    half's product, so the total composition count is O(log(D) * log(#fac))
-    plus one power per output instead of #fac independent powerings.
-    """
-    pairs = list(fac)
-    if not pairs:
-        return []
-
-    def rec(base: Endo, chunk: list[tuple[int, int]]) -> list[Endo]:
-        if len(chunk) == 1:
-            p, e = chunk[0]
-            return [base.pow(p ** (e - 1))]
-        mid = len(chunk) // 2
-        left, right = chunk[:mid], chunk[mid:]
-        prod_left = 1
-        for p, e in left:
-            prod_left *= p**e
-        prod_right = 1
-        for p, e in right:
-            prod_right *= p**e
-        return rec(base.pow(prod_right), left) + rec(base.pow(prod_left), right)
-
-    return rec(s, pairs)
-
-
-# ----------------------------------------------------------------------
 # Small-degree stripping (the fallback's classical ladder).
 # ----------------------------------------------------------------------
 
@@ -280,10 +249,12 @@ def order_with_fallback(
     oracle: OrderOracle,
     rng,
     hint_fn=None,
-) -> tuple[list[tuple[Poly, int]], Poly, Endo | None, int, bool]:
+) -> tuple[list[tuple[Poly, int]], Poly, Endo | None, int, tuple | None, bool]:
     """Order of s_endo on F_q[x]/(f), stripping small degrees on failure.
 
-    Returns (emitted_parts, remainder, rebased_endo, order, used_fallback).
+    Returns (emitted_parts, remainder, rebased_endo, order, powers,
+    used_fallback), where powers are the estimate's cofactor powers of the
+    order on the remainder, or None when the oracle supplied none.
     A first estimate at precision ``ell`` usually succeeds.  If not, every
     factor of degree <= B (smallest B with B^3 >= (deg f)^2) is peeled off
     classically; the surviving order divides lcm(B+1..n) which fits in the
@@ -294,14 +265,14 @@ def order_with_fallback(
         s_endo, ell, rng, true_order=hint_fn(f, s) if hint_fn else None
     )
     if est.found:
-        return [], f, s_endo, est.order, False
+        return [], f, s_endo, est.order, est.powers, False
     n0 = f.degree
     parts, f2 = extract_small_degrees(f, s, fallback_degree_bound(n0), s_endo=s_endo)
     if f2.degree == 0:
-        return parts, f2, None, 1, True
+        return parts, f2, None, 1, None, True
     s2 = s_endo.restrict(f2)
     if s2.is_identity():
-        return parts, f2, s2, 1, True
+        return parts, f2, s2, 1, None, True
     est2 = oracle.estimate(
         s2, fallback_ell(n0), rng, true_order=hint_fn(f2, s) if hint_fn else None
     )
@@ -309,7 +280,7 @@ def order_with_fallback(
         raise errors.OracleExhausted(
             f"order estimation failed twice (degree {n0}, stride {s})"
         )
-    return parts, f2, s2, est2.order, True
+    return parts, f2, s2, est2.order, est2.powers, True
 
 
 # ----------------------------------------------------------------------
@@ -378,25 +349,26 @@ def ddf(
     x = x_poly(f.ctx)
 
     merged: dict[int, Poly] = {}
+    queue = deque([(f, 1, frobenius(f, check=False), 0, None)])
+    next_id = 1
 
+    # emit and enqueue act on the item being processed: its trace record
+    # rec, its node_id, and its stride s with map s_endo2 = sigma^s.
     def emit(part: Poly, degree: int) -> None:
         prev = merged.get(degree)
         merged[degree] = part if prev is None else prev * part
+        rec["emitted"].append([degree, part.degree])
 
-    queue: deque[tuple[Poly, int, int, int | None]] = deque()
-    next_id = 0
-
-    def enqueue(g: Poly, s: int, parent: int | None) -> int:
+    def enqueue(g_c: Poly, k: int) -> None:
+        # The child's stride is s*k, and its map sigma^(s*k) is the item's
+        # sigma^s restricted to g_c, to the k-th power.
         nonlocal next_id
-        node = next_id
+        queue.append((g_c, s * k, s_endo2.restrict(g_c).pow(k), next_id, node_id))
+        rec["children"].append(next_id)
         next_id += 1
-        queue.append((g, s, node, parent))
-        return node
-
-    enqueue(f, 1, None)
 
     while queue:
-        g, s, node_id, parent = queue.popleft()
+        g, s, s_endo, node_id, parent = queue.popleft()
         rec = {
             "id": node_id,
             "parent": parent,
@@ -409,68 +381,50 @@ def ddf(
             "children": [],
             "emitted": [],
         }
-        sigma = frobenius(g, check=False)
-        s_endo = sigma.pow(s) if s > 1 else sigma
+        if trace is not None:
+            trace.append(rec)
         if s_endo.is_identity():
             emit(g, s)
             rec["d"] = 1
-            rec["emitted"].append([s, g.degree])
-            if trace is not None:
-                trace.append(rec)
             continue
         rec["ell_used"] = ell_used
-        stripped, g2, s_endo2, d, used_fb = order_with_fallback(
+        stripped, g2, s_endo2, d, powers, used_fb = order_with_fallback(
             g, s_endo, s, ell_used, oracle, rng, hint_fn=hint_fn
         )
         rec["fallback"] = used_fb
         rec["d"] = d
         for part, deg_val in stripped:
             emit(part, deg_val)
-            rec["emitted"].append([deg_val, part.degree])
         if g2.degree == 0:
-            if trace is not None:
-                trace.append(rec)
             continue
         if d == 1:
             emit(g2, s)
-            rec["emitted"].append([s, g2.degree])
-            if trace is not None:
-                trace.append(rec)
             continue
         fac = smooth_factor(d, n)
         rec["primes"] = [[p, e] for (p, e) in fac.pairs]
-        radical = 1
-        for p, _ in fac.pairs:
-            radical *= p
-        tau0 = s_endo2.pow(d // radical)
+        tau0, taus = powers if powers is not None else cofactor_powers(s_endo2, d)
         g0 = gcd(tau0.image - x, g2)
         if g0.degree > 0:
-            rec["children"].append(enqueue(g0, s, node_id))
+            enqueue(g0, 1)
         h = g2 // g0 if g0.degree > 0 else g2
         if h.degree > 0:
-            seq = frobenius_power_sequence(s_endo2, fac.pairs)
             g_prev = h
-            s_run = s
-            for tau_i, (p_i, e_i) in zip(seq, fac.pairs):
+            k_run = 1
+            for p_i, e_i in fac.pairs:
                 if g_prev.degree == 0:
                     break
-                g_i = gcd(tau_i.image - x, g_prev)
+                g_i = gcd(taus[p_i].image - x, g_prev)
                 if g_i.degree == 0:
                     # Every remaining factor has the full p_i-power in its
                     # reduced degree; keep the whole block and grow the stride.
-                    s_run *= p_i**e_i
+                    k_run *= p_i**e_i
                 elif g_i.degree < g_prev.degree:
-                    comp = g_prev // g_i
-                    rec["children"].append(
-                        enqueue(comp, s_run * p_i**e_i, node_id)
-                    )
+                    enqueue(g_prev // g_i, k_run * p_i**e_i)
                     g_prev = g_i
                 # g_i == g_prev: no remaining factor attains the full
                 # p_i-power; nothing to do for this prime.
             if g_prev.degree > 0:
-                rec["children"].append(enqueue(g_prev, s_run, node_id))
-        if trace is not None:
-            trace.append(rec)
+                enqueue(g_prev, k_run)
 
     parts = sorted(merged.items())
     result = DdfResult([(poly, d) for d, poly in parts])

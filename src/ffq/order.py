@@ -6,8 +6,10 @@ k in [0, N) with N = 2^(2*ell+1) is drawn either from the exact closed-form
 outcome distribution (``exact-dist``) or from the idealized model where a
 uniform j in [0, r) yields k = round(j*N/r) (``idealized``).  Classical
 post-processing (continued-fraction reconstruction, candidate assembly,
-verification by explicit composition, minimization) is shared by both and by
-the ``exact`` reference backend.
+verification and minimization on cofactor powers) is shared by both and by
+the ``exact`` reference backend.  A found estimate carries the cofactor
+powers of its order, s^(d/rad d) and s^(d/p) for each prime p | d, which are
+exactly the maps the factorization engine splits with.
 
 The simulation needs the true order.  Callers that already know it (the
 factorization engine derives it from a classical shadow computation) pass it
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import errors
 from .fields import factor_int
-from .poly import Endo, modcomp
+from .poly import Endo, frobenius_power_sequence, modcomp
 from .rng import make_rng, rand_below
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "sample_measurement",
     "rational_reconstruct",
     "exact_order",
+    "cofactor_powers",
     "estimate_order",
     "factor_int",
 ]
@@ -80,11 +83,17 @@ class RunRecord:
     verified: bool
 
 
+# What cofactor_powers(s, c) returns: (s^(c/rad c), {p: s^(c/p) for primes p | c}).
+_Powers = tuple[Endo, dict[int, Endo]]
+
+
 @dataclass
 class OrderEstimate:
     order: int | None
     attempts: int
     transcript: list[RunRecord] = field(default_factory=list)
+    # cofactor_powers(s, order) when found; a foreign oracle may leave it None.
+    powers: _Powers | None = None
 
     @property
     def found(self) -> bool:
@@ -219,8 +228,6 @@ def rational_reconstruct(k: int, N: int, bound: int) -> tuple[int, int]:
 def exact_order(s: Endo, cap: int | None = None) -> int:
     """Order of ``s`` by iterated composition; CapExceeded past ``cap``."""
     ident = s.identity_image()
-    if s.image == ident:
-        return 1
     cur = s.image
     r = 1
     while cur != ident:
@@ -233,41 +240,44 @@ def exact_order(s: Endo, cap: int | None = None) -> int:
     return r
 
 
-class _PowerLadder:
-    """Images of s^(2^i), grown on demand, for cheap power-of-s queries."""
+def cofactor_powers(s: Endo, c: int) -> _Powers:
+    """(s^(c/rad c), {p: s^(c/p)}) over the primes p | c, rad c their product.
 
-    def __init__(self, s: Endo):
-        self.sq = [s]
-        self.ident = s.identity_image()
-
-    def image_of_power(self, e: int):
-        while len(self.sq) < e.bit_length():
-            self.sq.append(self.sq[-1].compose(self.sq[-1]))
-        acc = None
-        i = 0
-        while e:
-            if e & 1:
-                acc = self.sq[i] if acc is None else acc.compose(self.sq[i])
-            e >>= 1
-            i += 1
-        return acc.image
-
-    def power_is_identity(self, e: int) -> bool:
-        if e == 0:
-            return True
-        return self.image_of_power(e) == self.ident
-
-
-def _minimize_verified(c: int, ladder: _PowerLadder) -> int:
-    """Smallest divisor of a verified multiple c that is still the identity.
-
-    Any verified candidate is a multiple of the true order, so stripping
-    primes while the power stays the identity converges to the order itself.
+    One square-and-multiply to c/rad c, then recursive halving over the
+    primes, each taken to the first power.  For c = 1 this is (s, {}).
     """
-    for prime in sorted(factor_int(c)):
-        while c % prime == 0 and ladder.power_is_identity(c // prime):
-            c //= prime
-    return c
+    primes = sorted(factor_int(c))
+    u = s.pow(c // math.prod(primes))
+    return u, dict(zip(primes, frobenius_power_sequence(u, [(p, 1) for p in primes])))
+
+
+def _order_from(s: Endo, cands: set[int], rejected: list[int]) -> tuple[int, _Powers] | None:
+    """The order of s and its cofactor powers, if a candidate is its multiple.
+
+    A candidate c is verified on its cofactor powers: s^c is s^(c/p0) raised
+    to p0, the smallest prime of c.  Candidates are tried largest first, and
+    one that divides a rejected candidate is skipped, since s^c = 1 gives
+    s^r = 1 for every multiple r of c; so when the lcm of the two
+    reconstructions is a candidate, one verification settles the attempt.
+    Rejected candidates are appended to ``rejected``, which the caller keeps
+    across attempts on the same s.
+    The order divides c/p for every prime p whose cofactor power is the
+    identity, so a verified c is minimized by dividing those primes out and
+    recomputing until no cofactor power is the identity.
+    """
+    for c in sorted(cands, reverse=True):
+        if any(r % c == 0 for r in rejected):
+            continue
+        u, imgs = powers = cofactor_powers(s, c)
+        p0 = min(imgs, default=None)
+        if not (u if p0 is None else imgs[p0].pow(p0)).is_identity():  # s^c
+            rejected.append(c)
+            continue
+        while (drop := math.prod(p for p, img in powers[1].items() if img.is_identity())) > 1:
+            c //= drop
+            powers = cofactor_powers(s, c)
+        return c, powers
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -286,10 +296,11 @@ def estimate_order(
 
     Each attempt draws two measurements, reconstructs candidate orders by
     continued fractions, and tests candidates (the two reconstructions and
-    their lcm, capped at 2^ell) in increasing size by explicit composition.
-    The first verified candidate is minimized to the exact order.  Returns a
-    failed estimate after ``max_attempts`` attempts without a verified
-    candidate.
+    their lcm, capped at 2^ell) largest first on their cofactor powers.  A
+    verified candidate is minimized to the exact order, whose cofactor powers
+    the estimate carries, and a reconstruction is marked verified when that
+    order divides it.  Returns a failed estimate after ``max_attempts``
+    attempts without a verified candidate.
     """
     if cfg is None:
         cfg = OracleConfig()
@@ -298,7 +309,6 @@ def estimate_order(
     if rng is None:
         rng = make_rng(cfg.seed)
     bound = 1 << ell
-    ladder = _PowerLadder(s)
 
     if cfg.backend == BACKEND_EXACT:
         if true_order is None:
@@ -308,9 +318,10 @@ def estimate_order(
                 return OrderEstimate(None, 1)
         else:
             r0 = true_order
-        if r0 <= bound and ladder.power_is_identity(r0):
-            return OrderEstimate(r0, 1)
-        return OrderEstimate(None, 1)
+        found = _order_from(s, {r0} if r0 <= bound else set(), [])
+        if found is None:
+            return OrderEstimate(None, 1)
+        return OrderEstimate(found[0], 1, powers=found[1])
     if cfg.backend != BACKEND_SIM:
         raise errors.BadInput(f"unknown backend {cfg.backend!r}")
 
@@ -323,6 +334,7 @@ def estimate_order(
         mode = MODE_EXACT_DIST if pp.N <= MAX_EXACT_N else MODE_IDEALIZED
 
     transcript: list[RunRecord] = []
+    rejected: list[int] = []
     for attempt in range(1, cfg.max_attempts + 1):
         runs = []
         for _ in range(2):
@@ -333,12 +345,13 @@ def estimate_order(
         l = math.lcm(runs[0][2], runs[1][2])
         if 1 <= l <= bound:
             cands.add(l)
-        verdict = {c: ladder.power_is_identity(c) for c in sorted(cands)}
+        found = _order_from(s, cands, rejected)
         for k, j, rc in runs:
-            transcript.append(RunRecord(k, pp.N, j, rc, verdict.get(rc, False)))
-        for c in sorted(cands):
-            if verdict[c]:
-                return OrderEstimate(_minimize_verified(c, ladder), attempt, transcript)
+            # s^rc = 1 exactly when the order divides rc.
+            ok = found is not None and rc in cands and rc % found[0] == 0
+            transcript.append(RunRecord(k, pp.N, j, rc, ok))
+        if found is not None:
+            return OrderEstimate(found[0], attempt, transcript, found[1])
     return OrderEstimate(None, cfg.max_attempts, transcript)
 
 

@@ -23,6 +23,9 @@ after the first call.  Euclid over a prime field runs its whole remainder
 chain on int lists.  Modular composition uses Horner for small outer degree
 and Brent-Kung baby-step/giant-step above it.
 
+Endomorphism powers are square-and-multiply (``Endo.pow``) or, for s^(D/p)
+over every prime p | D at once, recursive halving.
+
 Module-level counters track multiplications and modular compositions so
 benchmarks can report work alongside wall time.
 """
@@ -39,6 +42,7 @@ from .fields import FieldCtx
 __all__ = [
     "Poly",
     "Endo",
+    "frobenius_power_sequence",
     "x_poly",
     "gcd",
     "mulmod",
@@ -248,10 +252,6 @@ class Poly:
     def const(ctx: FieldCtx, c) -> "Poly":
         return Poly(ctx, [c])
 
-    @staticmethod
-    def from_ints(ctx: FieldCtx, ints: list[int]) -> "Poly":
-        return Poly(ctx, [ctx.from_int(v) for v in ints])
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -260,9 +260,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.ctx.one
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == self.ctx.one
@@ -686,6 +683,34 @@ class Endo:
     def restrict(self, new_modulus: Poly) -> "Endo":
         """The same map on F_q[x]/(g) for a divisor g of the modulus."""
         return Endo(new_modulus, self.image % new_modulus)
+
+
+def frobenius_power_sequence(s: Endo, fac: list[tuple[int, int]]) -> list[Endo]:
+    """[s^(D/p_i) for each (p_i, e_i) in fac], where D = prod p_i^e_i.
+
+    Computed by recursive halving: each half inherits s raised to the other
+    half's product, so the total composition count is O(log(D) * log(#fac))
+    plus one power per output instead of #fac independent powerings.
+    """
+    pairs = list(fac)
+    if not pairs:
+        return []
+
+    def rec(base: Endo, chunk: list[tuple[int, int]]) -> list[Endo]:
+        if len(chunk) == 1:
+            p, e = chunk[0]
+            return [base.pow(p ** (e - 1))]
+        mid = len(chunk) // 2
+        left, right = chunk[:mid], chunk[mid:]
+        prod_left = 1
+        for p, e in left:
+            prod_left *= p**e
+        prod_right = 1
+        for p, e in right:
+            prod_right *= p**e
+        return rec(base.pow(prod_right), left) + rec(base.pow(prod_left), right)
+
+    return rec(s, pairs)
 
 
 def frobenius(f: Poly, check: bool = True) -> Endo:

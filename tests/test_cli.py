@@ -106,6 +106,15 @@ def test_parse_errors_exit_one(capsys):
     assert main(["bench", "--p", "3", "--sizes", "8,nope", "--seed", "1"]) == 1
 
 
+@pytest.mark.parametrize("command", ["factor-count", "splitting-degree"])
+@pytest.mark.parametrize("flag", ["--n", "--trials"])
+def test_stats_rejects_empty_samples(command, flag, capsys):
+    sizes = {"--n": "4", "--trials": "5", flag: "0"}
+    argv = ["stats", command, "--p", "2", "--seed", "1"]
+    assert main(argv + [token for pair in sizes.items() for token in pair]) == 1
+    assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+
 def test_json_requires_a_seed(capsys, monkeypatch):
     monkeypatch.delenv("FFQ_SEED", raising=False)
     assert main(["factor", "--p", "5", "--poly", "x", "--json"]) == 1

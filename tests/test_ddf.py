@@ -18,7 +18,7 @@ from ffq.ddf import (
     recursion_audit,
     smooth_factor,
 )
-from ffq.order import OracleConfig, OrderEstimate, OrderOracle
+from ffq.order import OracleConfig, OrderEstimate, OrderOracle, cofactor_powers
 from ffq.poly import Poly, frobenius, random_monic, random_squarefree
 from ffq.rng import make_rng, trial_rng
 
@@ -146,10 +146,11 @@ def test_order_with_fallback_success_path():
     polys = distinct_irreducibles(F2, [2, 3], rng)
     f = product(F2, polys)
     oracle = OrderOracle(OracleConfig(seed=5))
-    parts, rem, endo, d, used_fb = order_with_fallback(
+    parts, rem, endo, d, powers, used_fb = order_with_fallback(
         f, frobenius(f), 1, 4, oracle, rng, hint_fn=lambda g, s: 6
     )
     assert not used_fb and parts == [] and rem == f and d == 6
+    assert powers == cofactor_powers(frobenius(f), 6)
 
 
 def test_order_with_fallback_strips_and_retries():
@@ -163,13 +164,14 @@ def test_order_with_fallback_strips_and_retries():
         return math.lcm(*[dd // math.gcd(s, dd) for dd in degs])
 
     # ell = 1 bounds the candidate orders by 2, so the first call must fail
-    parts, rem, endo, d, used_fb = order_with_fallback(
+    parts, rem, endo, d, powers, used_fb = order_with_fallback(
         f, frobenius(f), 1, 1, oracle, rng, hint_fn=hint
     )
     assert used_fb
     assert [(g.degree, dd) for g, dd in parts] == [(1, 1)]
     assert rem == polys[1] and d == 7
     assert endo.modulus == polys[1]
+    assert powers == cofactor_powers(endo, 7)
 
 
 def test_order_with_fallback_raises_when_oracle_cannot_answer():
@@ -274,6 +276,21 @@ def test_ddf_detects_a_lying_oracle():
     f = Poly(F2, [0, 1, 1, 0, 1])  # x(x^3 + x + 1)
     with pytest.raises(errors.InvariantViolation):
         ddf(f, LyingOracle(), make_rng(173))
+
+
+def test_ddf_computes_the_powers_a_bare_estimate_lacks():
+    class BareOracle(OrderOracle):
+        # Answers like a foreign oracle: the order, without cofactor powers.
+        def estimate(self, s, ell, rng, true_order=None):
+            est = super().estimate(s, ell, rng, true_order)
+            return OrderEstimate(est.order, est.attempts)
+
+    for ctx, n in [(F2, 30), (F3, 24), (F9, 12)]:
+        for i in range(3):
+            rng = trial_rng(181 + ctx.q, i)
+            f = random_squarefree(ctx, n, rng)
+            res = ddf(f, BareOracle(OracleConfig()), rng)
+            assert res.parts == distinct_degree_parts(f), (ctx.q, n, i)
 
 
 def test_ddf_many_prime_degrees_need_no_fallback():

@@ -13,7 +13,7 @@ from helpers import count_irreducibles, distinct_irreducibles, product, rand_irr
 
 F2 = field_new(2)
 F3 = field_new(3)
-F4 = field_new(2, 2)
+F4 = field_new(2, 2, rng=make_rng(16))
 F5 = field_new(5)
 F7 = field_new(7)
 F9 = field_new(3, 2, [1, 0, 1])

@@ -65,8 +65,8 @@ def test_field_axioms_sampled():
         field_new(2),
         field_new(13),
         field_new(3, 2, [1, 0, 1]),
-        field_new(2, 3),
-        field_new(5, 2),
+        field_new(2, 3, rng=make_rng(68)),
+        field_new(5, 2, rng=make_rng(69)),
     ]
     rng = make_rng(401)
     for ctx in fields:
@@ -91,8 +91,8 @@ def test_field_axioms_sampled():
 def test_fermat_identity_all_elements():
     fields = [
         field_new(7),
-        field_new(3, 2),
-        field_new(2, 4),
+        field_new(3, 2, rng=make_rng(94)),
+        field_new(2, 4, rng=make_rng(95)),
         field_new(2, 3, [1, 1, 0, 1]),  # F_8 = F_2[y]/(y^3 + y + 1)
         field_new(5, 2, [2, 0, 1]),  # F_25 = F_5[y]/(y^2 + 2)
     ]
@@ -106,7 +106,7 @@ def test_fermat_identity_all_elements():
 
 
 def test_pth_root_inverts_frobenius():
-    for ctx in [field_new(5), field_new(3, 2, [1, 0, 1]), field_new(2, 3)]:
+    for ctx in [field_new(5), field_new(3, 2, [1, 0, 1]), field_new(2, 3, rng=make_rng(109))]:
         for a in ctx.iter_elements():
             assert ctx.pth_root(ctx.pow(a, ctx.p)) == a
             assert ctx.pow(ctx.pth_root(a), ctx.p) == a
@@ -121,7 +121,7 @@ def test_pth_root_values_in_nine_elements():
 
 
 def test_element_index_round_trip():
-    for ctx in [field_new(11), field_new(3, 3), field_new(2, 5)]:
+    for ctx in [field_new(11), field_new(3, 3, rng=make_rng(124)), field_new(2, 5, rng=make_rng(125))]:
         seen = set()
         for i in range(ctx.q):
             a = ctx.from_index(i)

@@ -3,7 +3,11 @@
 ``golden_cli.json`` holds argv lists and the exact stdout each produced when
 the file was recorded.  The cases cover ``factor`` and ``ddf`` over F_3, F_9
 with a given modulus, F_16 with a seeded random modulus search, and
-F_{2^61-1}, plus ``order`` and ``stats splitting-degree``.  The extension
+F_{2^61-1}, plus ``order`` and ``stats splitting-degree``.  Three later cases
+pin the power path: ``ddf --ell 1`` takes the stripping fallback,
+``order --oracle exact`` verifies the prime-power order 9 without sampling,
+and ``order --power 2`` finds the order 8 after its transcript has recorded
+a rejected candidate.  The extension
 field inputs carry coefficients of y-degree >= m, so element parsing reduces
 them mod h, and non-monic inputs, so factoring inverts a leading
 coefficient.  A refactor that changes any of these outputs, or any random

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 from ffq import errors, field_new
+from ffq import order as order_mod
 from ffq.order import (
     BACKEND_EXACT,
+    BACKEND_SIM,
     MODE_EXACT_DIST,
     MODE_IDEALIZED,
     OracleConfig,
     OrderOracle,
     PhaseParams,
+    cofactor_powers,
     estimate_order,
     exact_order,
     factor_int,
@@ -244,6 +247,86 @@ def test_estimate_minimality_witnessed_by_prime_strips():
     assert est.found and est.order == 12
     for rho in factor_int(est.order):
         assert not s.pow(est.order // rho).is_identity()
+
+
+def check_cofactor_powers(s, c, powers):
+    """powers == (s^(c/rad c), {p: s^(c/p)}), checked by direct powering."""
+    u, imgs = powers
+    primes = factor_int(c)
+    assert u == s.pow(c // math.prod(primes))
+    assert sorted(imgs) == sorted(primes)
+    for p, img in imgs.items():
+        assert img == s.pow(c // p), (c, p)
+
+
+@pytest.mark.parametrize("backend", [BACKEND_SIM, BACKEND_EXACT])
+def test_estimate_carries_the_cofactor_powers_of_its_order(backend):
+    rng = make_rng(10)
+    # orders 1, 8 and 9 (prime powers) and 12
+    for degrees in [[1], [8, 4], [9, 3], [4, 6]]:
+        f = product(F2, distinct_irreducibles(F2, degrees, rng))
+        r = math.lcm(*degrees)
+        s = frobenius(f)
+        est = estimate_order(s, 6, OracleConfig(backend=backend, seed=31), true_order=r)
+        assert est.found and est.order == r
+        check_cofactor_powers(s, r, est.powers)
+
+
+def test_cofactor_powers_match_direct_powers():
+    rng = make_rng(11)
+    f = product(F3, distinct_irreducibles(F3, [2, 3, 4], rng))
+    s = frobenius(f)
+    for c in [1, 2, 8, 9, 12, 30, 72]:
+        check_cofactor_powers(s, c, cofactor_powers(s, c))
+
+
+def test_exact_backend_minimizes_a_verified_multiple():
+    rng = make_rng(12)
+    f = product(F2, distinct_irreducibles(F2, [8, 4], rng))  # order 8
+    s = frobenius(f)
+    est = estimate_order(s, 6, OracleConfig(backend=BACKEND_EXACT), true_order=48)
+    assert est.found and est.order == 8
+    assert est.powers == cofactor_powers(s, 8)
+
+
+def test_transcript_flags_match_explicit_powers():
+    # A run is verified exactly when its reconstruction fits under 2^ell and
+    # s to that power is the identity, whichever candidates were composed.
+    rng = make_rng(13)
+    seen = set()
+    for degrees in [[2, 3], [4, 5], [2, 3, 5], [8, 3], [1, 7]]:
+        f = product(F2, distinct_irreducibles(F2, degrees, rng))
+        r = math.lcm(*degrees)
+        s = frobenius(f)
+        # A hint that is a proper multiple of the order yields reconstructions
+        # that are proper multiples too.
+        for ell, hint in ((4, r), (6, r), (6, 2 * r)):
+            for i in range(8):
+                est = estimate_order(s, ell, OracleConfig(seed=None), trial_rng(77, i),
+                                     true_order=hint)
+                for t in est.transcript:
+                    fits = 1 <= t.r <= 1 << ell
+                    assert t.verified == (fits and s.pow(t.r).is_identity()), (r, ell, t)
+                    seen.add(t.verified)
+                assert est.order == (r if est.found else None)
+    assert seen == {True, False}
+
+
+def test_candidates_dividing_a_rejected_one_are_not_composed(monkeypatch):
+    rng = make_rng(14)
+    s = frobenius(product(F2, distinct_irreducibles(F2, [3, 5], rng)))  # order 15
+    calls = []
+    real = order_mod.cofactor_powers
+    monkeypatch.setattr(order_mod, "cofactor_powers", lambda s, c: calls.append(c) or real(s, c))
+    rejected = []
+    assert order_mod._order_from(s, {4, 6, 12}, rejected) is None  # 4 and 6 divide 12
+    assert calls == [12] and rejected == [12]
+    # A later attempt skips what an earlier one rejected.
+    assert order_mod._order_from(s, {3, 6}, rejected) is None
+    assert calls == [12] and rejected == [12]
+    order, powers = order_mod._order_from(s, {5, 6, 30}, rejected)
+    assert calls == [12, 30, 15] and order == 15  # 30 verified, then minimized
+    assert powers == cofactor_powers(s, 15)
 
 
 def test_exact_backend_is_deterministic():

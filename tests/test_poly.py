@@ -66,7 +66,7 @@ def test_multiplication_matches_reference_all_kernels():
     # small prime (packed 16/32-bit lanes), large prime (big-int fallback),
     # and an extension field (generic kernel)
     big = (1 << 61) - 1
-    fields = [F2, F3, F5, field_new(65537), field_new(big), F9, field_new(2, 3)]
+    fields = [F2, F3, F5, field_new(65537), field_new(big), F9, field_new(2, 3, rng=make_rng(69))]
     for ctx in fields:
         for da, db in [(0, 5), (3, 3), (7, 12), (15, 16), (31, 33), (64, 64), (100, 17)]:
             a = random_poly(ctx, da, rng)

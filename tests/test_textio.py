@@ -67,7 +67,7 @@ def test_base_modulus_round_trip():
 
 def test_round_trip_random_polys():
     rng = make_rng(404)
-    for ctx in [F2, F5, F9, field_new(13, 3)]:
+    for ctx in [F2, F5, F9, field_new(13, 3, rng=make_rng(70))]:
         for _ in range(40):
             f = random_poly(ctx, int(rng.integers(0, 12)), rng)
             assert parse_poly(format_poly(f), ctx) == f
