@@ -1,11 +1,14 @@
 """Classical reference routines.
 
-Everything here avoids modular composition and order oracles on purpose: it
-is the independent route used to cross-check the engine (and, internally, to
-seed the measurement simulation with true orders).  The pieces are
+Everything here avoids the order oracle on purpose: it is the independent
+route used to cross-check the engine (and, internally, to seed the
+measurement simulation with true orders).  Its one use of modular
+composition, the large-q step of ``distinct_degree_parts``, is checked
+against sympy in ``tests/test_kernels.py``.  The pieces are
 
-* ``distinct_degree_parts``: textbook distinct-degree splitting by repeated
-  q-th powering;
+* ``distinct_degree_parts``: textbook distinct-degree splitting; the ladder
+  steps w -> w^q by powering or by composition with x^q, whichever costs
+  fewer products for q and the current degree;
 * ``is_irreducible``: Rabin's criterion, same powering chain;
 * ``irreducibles``: exhaustive sieve enumeration of monic irreducibles for
   tiny q^d, cached per field;
@@ -23,7 +26,7 @@ import math
 
 from . import errors
 from .fields import FieldCtx, factor_int
-from .poly import Poly, gcd, mulmod, poly_pth_root, powmod, x_poly
+from .poly import Poly, frobenius, gcd, modcomp, mulmod, poly_pth_root, powmod, x_poly
 
 __all__ = [
     "distinct_degree_parts",
@@ -43,29 +46,44 @@ BRUTE_MAX_Q = 1 << 20
 ENUM_LIMIT = 4096  # enumerate monic irreducibles of degree d only if q^d <= this
 
 
-def distinct_degree_parts(f: Poly) -> list[tuple[Poly, int]]:
+def distinct_degree_parts(f: Poly, xq: Poly | None = None) -> list[tuple[Poly, int]]:
     """Split monic squarefree f into (product of degree-d irreducibles, d).
 
-    Classic ladder: w = x^(q^d) mod f by repeated powering; gcd(w - x, f)
-    captures the degree-d part once smaller degrees have been removed.
+    Classic ladder: w = x^(q^d) mod cur, where cur is f with the parts of
+    degree < d removed; gcd(w - x, cur) is the degree-d part.  ``xq`` is
+    x^q mod f when the caller already has it; otherwise ``frobenius``
+    computes it.  Each later step w -> w^q either powers, costing
+    bit_length(q) + popcount(q) - 2 products, or composes w(x^q), costing
+    about 2*sqrt(deg cur) products (Brent-Kung); it takes the cheaper one.
     """
     if not f.is_monic():
         raise errors.BadInput("input must be monic")
     der = f.deriv()
     if der.is_zero() or gcd(f, der).degree > 0:
         raise errors.NotSquarefree("input must be squarefree")
-    ctx = f.ctx
-    x = x_poly(ctx)
+    if xq is None:
+        xq = frobenius(f, check=False).image
+    q = f.ctx.q
+    power_cost = q.bit_length() + bin(q).count("1") - 2
+    x = x_poly(f.ctx)
     parts: list[tuple[Poly, int]] = []
     cur = f
-    w = x % cur
+    w = xq
     d = 0
     while cur.degree > 0:
         d += 1
         if 2 * d > cur.degree:
             parts.append((cur, cur.degree))
             break
-        w = powmod(w, ctx.q, cur)
+        if d > 1:
+            if power_cost > 2 * math.isqrt(cur.degree):
+                # xq reduced mod a multiple of cur is already reduced mod
+                # cur once its degree is below deg cur.
+                if xq.degree >= cur.degree:
+                    xq = xq % cur
+                w = modcomp(w, xq, cur)
+            else:
+                w = powmod(w, q, cur)
         g = gcd(w - (x % cur), cur)
         if g.degree > 0:
             parts.append((g, d))

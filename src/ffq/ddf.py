@@ -298,20 +298,21 @@ class DdfResult:
         return [d for (_, d) in self.parts]
 
 
-def _shadow_hint_fn(f_top: Poly):
+def _shadow_hint_fn(f_top: Poly, xq: Poly):
     """True order provider for the measurement simulation.
 
     One classical distinct-degree shadow of the top-level input is computed
-    lazily; the order of sigma^s on any divisor g of the input is then
-    lcm(D / gcd(s, D)) over the distinct factor degrees D present in g,
-    found by gcds against the shadow parts.
+    lazily, from the engine's x^q mod the input ``xq``; the order of sigma^s
+    on any divisor g of the input is then lcm(D / gcd(s, D)) over the
+    distinct factor degrees D present in g, found by gcds against the shadow
+    parts.
     """
     shadow: list[tuple[Poly, int]] | None = None
 
     def hint(modulus: Poly, stride: int) -> int:
         nonlocal shadow
         if shadow is None:
-            shadow = distinct_degree_parts(f_top)
+            shadow = distinct_degree_parts(f_top, xq)
         present = []
         for part, dd in shadow:
             if gcd(modulus, part).degree > 0:
@@ -345,11 +346,12 @@ def ddf(
         rng = make_rng()
     n = f.degree
     ell_used = ell if ell is not None else default_ell(n)
-    hint_fn = _shadow_hint_fn(f)
+    sigma = frobenius(f, check=False)
+    hint_fn = _shadow_hint_fn(f, sigma.image)
     x = x_poly(f.ctx)
 
     merged: dict[int, Poly] = {}
-    queue = deque([(f, 1, frobenius(f, check=False), 0, None)])
+    queue = deque([(f, 1, sigma, 0, None)])
     next_id = 1
 
     # emit and enqueue act on the item being processed: its trace record

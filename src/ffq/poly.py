@@ -23,8 +23,10 @@ after the first call.  Euclid over a prime field runs its whole remainder
 chain on int lists.  Modular composition uses Horner for small outer degree
 and Brent-Kung baby-step/giant-step above it.
 
-Endomorphism powers are square-and-multiply (``Endo.pow``) or, for s^(D/p)
-over every prime p | D at once, recursive halving.
+The Frobenius image x^q mod f is computed by square-and-shift: a set bit
+of q costs a shift and one reduction step, not a product.  Endomorphism
+powers are square-and-multiply (``Endo.pow``) or, for s^(D/p) over every
+prime p | D at once, recursive halving.
 
 Module-level counters track multiplications and modular compositions so
 benchmarks can report work alongside wall time.
@@ -718,6 +720,10 @@ def frobenius(f: Poly, check: bool = True) -> Endo:
 
     With ``check`` the modulus is verified monic and squarefree (the engine
     requires both); pass ``check=False`` to skip the squarefree gcd.
+
+    x^q mod f is computed left to right by square-and-shift: every bit of q
+    squares, and a set bit multiplies by x, which is a shift plus one
+    reduction step by the monic f instead of a full product.
     """
     if not f.is_monic() or len(f.coeffs) < 2:
         raise errors.BadInput("modulus must be monic of degree >= 1")
@@ -725,7 +731,14 @@ def frobenius(f: Poly, check: bool = True) -> Endo:
         d = f.deriv()
         if d.is_zero() or gcd(f, d).degree > 0:
             raise errors.NotSquarefree("modulus must be squarefree")
-    img = powmod(x_poly(f.ctx), f.ctx.q, f)
+    n = len(f.coeffs)
+    img = x_poly(f.ctx) % f
+    for bit in bin(f.ctx.q)[3:]:
+        img = (img * img) % f
+        if bit == "1":
+            img = img.shift(1)
+            if len(img.coeffs) == n:
+                img = img - f.scaled(img.coeffs[-1])
     return Endo(f, img)
 
 

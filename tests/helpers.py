@@ -6,7 +6,7 @@ results against the construction instead of against the code under test.
 """
 
 from ffq import is_irreducible
-from ffq.poly import Poly, random_monic
+from ffq.poly import Poly, gcd, powmod, random_monic, x_poly
 
 
 def rand_irreducible(ctx, d, rng):
@@ -36,6 +36,34 @@ def product(ctx, polys):
     for g in polys:
         acc = acc * g
     return acc
+
+
+def ladder_by_powering(f):
+    """Distinct-degree parts of monic squarefree f by the textbook ladder.
+
+    Every step raises w = x^(q^d) mod cur to the q-th power with ``powmod``;
+    no composition and no precomputed x^q, so it shares no step with the
+    composing ladder of ``classical.distinct_degree_parts``.
+    """
+    x = x_poly(f.ctx)
+    parts = []
+    cur = f
+    w = x % cur
+    d = 0
+    while cur.degree > 0:
+        d += 1
+        if 2 * d > cur.degree:
+            parts.append((cur, cur.degree))
+            break
+        w = powmod(w, f.ctx.q, cur)
+        g = gcd(w - (x % cur), cur)
+        if g.degree > 0:
+            parts.append((g, d))
+            cur = cur // g
+            if cur.degree == 0:
+                break
+            w = w % cur
+    return parts
 
 
 def all_monic(ctx, d):

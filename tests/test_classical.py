@@ -20,10 +20,16 @@ from ffq.classical import (
     is_irreducible,
     splitting_degree,
 )
-from ffq.poly import Poly, gcd, random_monic
+from ffq.poly import Poly, counters, frobenius, gcd, random_monic, random_squarefree, x_poly
 from ffq.rng import make_rng
 
-from helpers import all_monic, count_irreducibles, distinct_irreducibles, product
+from helpers import (
+    all_monic,
+    count_irreducibles,
+    distinct_irreducibles,
+    ladder_by_powering,
+    product,
+)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -97,6 +103,66 @@ def test_distinct_degree_parts_on_constructions():
             for g, d in zip(polys, shape):
                 by_degree[d] = by_degree.get(d, Poly.one(ctx)) * g
             assert parts == [(by_degree[d], d) for d in sorted(by_degree)]
+
+
+WIDE = (1 << 61) - 1
+
+
+@pytest.mark.parametrize(
+    "p, m, h, n",
+    [(2, 1, None, 40), (3, 1, None, 40), (3, 2, [1, 0, 1], 17), (101, 1, None, 40), (WIDE, 1, None, 20)],
+    ids=["F2", "F3", "F9", "F101", "Fp61"],
+)
+def test_distinct_degree_parts_takes_the_callers_x_to_the_q(p, m, h, n):
+    ctx = field_new(p, m, h)
+    rng = make_rng(p % 1000 + n)
+    for _ in range(3):
+        f = random_squarefree(ctx, n, rng)
+        xq = frobenius(f, check=False).image
+        assert distinct_degree_parts(f, xq) == distinct_degree_parts(f)
+
+
+@pytest.mark.parametrize(
+    "p, m, h, n, composes",
+    [(2, 1, None, 128, False), (3, 1, None, 128, False), (3, 2, [1, 0, 1], 17, False),
+     (WIDE, 1, None, 20, True)],
+    ids=["F2-n128", "F3-n128", "F9-n17", "Fp61-n20"],
+)
+def test_ladder_steps_by_composition_only_for_large_q(p, m, h, n, composes):
+    # A power step costs bit_length(q) + popcount(q) - 2 products: 1 for
+    # q = 2, 2 for q = 3 and 4 for q = 9, never more than a composition's
+    # 2 * isqrt(deg cur) >= 2.  For q = 2^61 - 1 it costs 120.
+    ctx = field_new(p, m, h)
+    rng = make_rng(n)
+    for _ in range(2):
+        f = random_squarefree(ctx, n, rng)
+        before = counters()["modcomp"]
+        parts = distinct_degree_parts(f)
+        assert (counters()["modcomp"] > before) == composes
+        assert parts == ladder_by_powering(f)
+
+
+def test_ladder_switches_to_composition_once_cur_shrinks():
+    # Over F_101 a power step costs 9 products.  The input has degree 128,
+    # so the ladder powers (2 * isqrt(deg cur) >= 20) until the quartic part
+    # leaves a cur of degree 11 + 13 = 24, and composes from then on
+    # (2 * isqrt(24) = 8): the steps to degrees 5, 6, ..., 11.
+    ctx = field_new(101)
+    rng = make_rng(101)
+    x = x_poly(ctx)
+    linears = [x - Poly.const(ctx, a) for a in range(20)]
+    degrees = [2] * 15 + [3] * 10 + [4] * 6 + [11, 13]
+    polys = linears + distinct_irreducibles(ctx, degrees, rng)
+    f = product(ctx, polys)
+    assert f.degree == 128
+    before = counters()["modcomp"]
+    parts = distinct_degree_parts(f)
+    assert counters()["modcomp"] - before == 7
+    by_degree = {}
+    for g, d in zip(polys, [1] * 20 + degrees):
+        by_degree[d] = by_degree.get(d, Poly.one(ctx)) * g
+    assert parts == [(by_degree[d], d) for d in sorted(by_degree)]
+    assert parts == ladder_by_powering(f)
 
 
 def test_distinct_degree_parts_requires_squarefree():

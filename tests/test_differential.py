@@ -1,26 +1,38 @@
-"""The order-driven ddf against independent oracles above the brute-force guard.
+"""The order-driven ddf, the classical ladder and factor against independent
+oracles above the brute-force guard.
 
-Prime fields are checked against sympy's ``gf_ddf_zassenhaus``, which
-shares no code with ffq; galoistools stores coefficients in descending
-order, so every comparison reverses the list.  sympy has no F_{p^m}, so
-extension fields are checked against the classical repeated-powering
-ladder ``classical.distinct_degree_parts``.  Every input has degree >= 25,
-beyond the degree-24 guard of the brute-force cross-checks, so the engine
-recurses through several strides, gcd splits and inherited stride maps.
+Prime fields are checked against sympy's ``gf_ddf_zassenhaus`` and
+``gf_factor``, which share no code with ffq; galoistools stores
+coefficients in descending order, so every comparison reverses the list.
+sympy has no F_{p^m}.  There the ladder is checked against the repeated
+powering reference ``helpers.ladder_by_powering``, ddf against the ladder,
+and factor by a certificate: the factors are distinct, monic and pass
+``classical.is_irreducible``, and they multiply back to the input.  Random
+inputs have degree >= 25, beyond the degree-24 guard of the brute-force
+cross-checks, so the engine recurses through several strides, gcd splits
+and inherited stride maps.  The ladder also runs on constructed shapes down
+to degree 2, for every branch of its loop.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_ddf_zassenhaus
+from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_factor
 
-from ffq import field_new
-from ffq.classical import distinct_degree_parts
+from ffq import counters, field_new
+from ffq.classical import distinct_degree_parts, is_irreducible
 from ffq.ddf import ddf
+from ffq.factor import factor
 from ffq.order import OracleConfig, OrderOracle
-from ffq.poly import random_squarefree
+from ffq.poly import Poly, random_monic, random_squarefree, x_poly
 from ffq.rng import make_rng, trial_rng
 
+from helpers import distinct_irreducibles, ladder_by_powering, product
+
 WIDE = (1 << 61) - 1
+WIDER = (1 << 127) - 1
+P31 = (1 << 31) - 1
 
 
 def sympy_parts(f):
@@ -29,8 +41,8 @@ def sympy_parts(f):
     return [(list(reversed(g)), d) for g, d in gf_ddf_zassenhaus(dense, f.ctx.p, ZZ)]
 
 
-def ffq_parts(result):
-    return [([int(c) for c in g.coeffs], d) for g, d in result.parts]
+def ffq_parts(parts):
+    return [([int(c) for c in g.coeffs], d) for g, d in parts]
 
 
 @pytest.mark.parametrize(
@@ -44,7 +56,7 @@ def test_ddf_matches_sympy_over_prime_fields(p, n):
         rng = trial_rng(p + n, i)
         f = random_squarefree(ctx, n, rng)
         res = ddf(f, OrderOracle(OracleConfig()), rng)
-        assert ffq_parts(res) == sympy_parts(f), (p, n, i)
+        assert ffq_parts(res.parts) == sympy_parts(f), (p, n, i)
 
 
 @pytest.mark.parametrize(
@@ -70,4 +82,114 @@ def test_forced_fallback_matches_sympy():
     trace = []
     res = ddf(f, OrderOracle(OracleConfig()), rng, ell=1, trace=trace)
     assert [rec["fallback"] for rec in trace] == [True, True, False, False]
-    assert ffq_parts(res) == sympy_parts(f)
+    assert ffq_parts(res.parts) == sympy_parts(f)
+
+
+# Factor degrees of distinct irreducibles, one shape for each branch of the
+# ladder's loop.  "shrink": the degree-8 part is found at the step where
+# 2d = deg cur, which holds only after the parts of degree 1, 3 and 4 have
+# left.  "rule": the degree-11 part is never found by a gcd; it is emitted
+# when 2d > deg cur.  "linear": every part has degree 1 (as many distinct
+# linear factors as the field has, at most 24).  "irreducible": the input is
+# irreducible, so it too is emitted by the rule.  Irreducible degrees are
+# smaller for large p, where drawing one by rejection costs more.
+def _shape(name, p):
+    if name == "linear":
+        return [1] * min(p, 24)
+    if name == "irreducible":
+        return [31 if p < 100 else 17 if p < 1000 else 9]
+    return {"shrink": [1, 3, 4, 4, 8, 8], "rule": [2, 3, 11]}[name]
+
+
+@pytest.mark.parametrize("shape", ["linear", "irreducible", "shrink", "rule"])
+@pytest.mark.parametrize("p", [2, 3, 101, WIDE, WIDER])
+def test_ladder_matches_sympy_on_constructed_shapes(p, shape):
+    ctx = field_new(p)
+    degrees = _shape(shape, p)
+    if shape == "linear":
+        x = x_poly(ctx)
+        polys = [x - Poly.const(ctx, a) for a in range(len(degrees))]
+    else:
+        polys = distinct_irreducibles(ctx, degrees, make_rng(p % 1000 + len(degrees)))
+    f = product(ctx, polys)
+    assert ffq_parts(distinct_degree_parts(f)) == sympy_parts(f)
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    [(2, 64), (2, 128), (3, 64), (3, 128), (101, 64), (101, 128), (WIDE, 40), (WIDE, 64),
+     (WIDER, 25), (WIDER, 48)],
+)
+def test_ladder_matches_sympy_on_random_inputs(p, n):
+    ctx = field_new(p)
+    f = random_squarefree(ctx, n, trial_rng(p + n, 7))
+    assert ffq_parts(distinct_degree_parts(f)) == sympy_parts(f)
+
+
+@pytest.mark.parametrize(
+    "p, m, h, n, composes",
+    [(2, 2, [1, 1, 1], 40, False), (3, 2, [1, 0, 1], 30, False), (P31, 2, [1, 0, 1], 14, True)],
+    ids=["F4", "F9", "Fp31^2"],
+)
+def test_ladder_matches_the_powering_reference_over_extension_fields(p, m, h, n, composes):
+    # q = (2^31 - 1)^2 has 62 bits, 31 of them set: a power step costs 91
+    # products, so that ladder composes.  F_4 and F_9 power.
+    ctx = field_new(p, m, h)
+    f = random_squarefree(ctx, n, trial_rng(ctx.q + n, 0))
+    before = counters()["modcomp"]
+    parts = distinct_degree_parts(f)
+    assert (counters()["modcomp"] > before) == composes
+    assert parts == ladder_by_powering(f)
+
+
+def _squareful(ctx, a, b, rng):
+    """c * g^2 * h for random monic g, h of degrees a, b and a unit c."""
+    g = random_monic(ctx, a, rng)
+    h = random_monic(ctx, b, rng)
+    c = ctx.rand(rng) or ctx.one
+    return (g * g * h).scaled(c)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, WIDE])
+def test_factor_matches_sympy_on_non_squarefree_inputs(p):
+    ctx = field_new(p)
+    for i, (a, b) in enumerate([(8, 9), (12, 40)]):
+        rng = trial_rng(p, i)
+        f = _squareful(ctx, a, b, rng)
+        res = factor(f, OrderOracle(OracleConfig()), rng)
+        lc, want = gf_factor([int(c) for c in reversed(f.coeffs)], p, ZZ)
+        got = [([int(c) for c in g.coeffs], k) for g, k in res.factors]
+        assert int(res.unit) == lc
+        assert sorted(got) == sorted((list(reversed(g)), k) for g, k in want), (p, i)
+
+
+@pytest.mark.parametrize(
+    "p, m, h, a, b",
+    [(2, 2, [1, 1, 1], 8, 20), (3, 2, [1, 0, 1], 8, 20), (P31, 2, [1, 0, 1], 3, 4)],
+    ids=["F4", "F9", "Fp31^2"],
+)
+def test_factor_certificate_over_extension_fields(p, m, h, a, b):
+    ctx = field_new(p, m, h)
+    rng = trial_rng(ctx.q, a + b)
+    f = _squareful(ctx, a, b, rng)
+    res = factor(f, OrderOracle(OracleConfig()), rng)
+    assert res.unit == f.lead()
+    assert len({g for g, _ in res.factors}) == len(res.factors)
+    for g, k in res.factors:
+        assert k >= 1 and g.is_monic() and is_irreducible(g)
+    assert res.product(ctx) == f
+    # g^2 divides f, so some factor has multiplicity at least 2
+    assert max(k for _, k in res.factors) >= 2
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from([2, 3, 5, 101, WIDE]),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ddf_parts_equal_the_classical_parts(p, n, seed):
+    ctx = field_new(p)
+    rng = make_rng(seed)
+    f = random_squarefree(ctx, n, rng)
+    assert ddf(f, OrderOracle(OracleConfig()), rng).parts == distinct_degree_parts(f)

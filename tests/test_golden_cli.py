@@ -7,7 +7,10 @@ F_{2^61-1}, plus ``order`` and ``stats splitting-degree``.  Three later cases
 pin the power path: ``ddf --ell 1`` takes the stripping fallback,
 ``order --oracle exact`` verifies the prime-power order 9 without sampling,
 and ``order --power 2`` finds the order 8 after its transcript has recorded
-a rejected candidate.  The extension
+a rejected candidate.  Two more run the classical ladder at p = 2^61 - 1,
+where it steps by composition: ``ddf`` at degree 40, whose shadow takes the
+engine's x^q, and ``stats splitting-degree``, which calls the ladder without
+it.  The extension
 field inputs carry coefficients of y-degree >= m, so element parsing reduces
 them mod h, and non-monic inputs, so factoring inverts a leading
 coefficient.  A refactor that changes any of these outputs, or any random

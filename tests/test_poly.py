@@ -248,6 +248,28 @@ def test_frobenius_fixed_small_examples():
     assert frobenius(f1).is_identity()
 
 
+P31 = (1 << 31) - 1
+
+
+@pytest.mark.parametrize(
+    "p, m, h, q",
+    [(2, 1, None, 2), (3, 1, None, 3), (2, 2, [1, 1, 1], 4), (3, 2, [1, 0, 1], 9),
+     (2, 8, None, 1 << 8), (101, 1, None, 101), (P31, 1, None, P31),
+     ((1 << 61) - 1, 1, None, (1 << 61) - 1), (P31, 2, [1, 0, 1], P31**2)],
+    ids=["F2", "F3", "F4", "F9", "F256", "F101", "Fp31", "Fp61", "Fp31^2"],
+)
+def test_frobenius_square_and_shift_matches_powmod(p, m, h, q):
+    # Square-and-shift must give powmod's image: q = 2 has no set bit after
+    # the leading one, 2^8 none at all, and 2^61 - 1 sets every bit.
+    ctx = field_new(p, m, h, rng=make_rng(88))
+    assert ctx.q == q
+    rng = make_rng(q % 1009)
+    degrees = [1, 2, 7, 12] if m > 1 else [1, 2, 7, 20, 40]
+    for n in degrees:
+        f = random_monic(ctx, n, rng)
+        assert frobenius(f, check=False).image == powmod(x_poly(ctx), q, f), n
+
+
 def test_frobenius_rejects_non_squarefree():
     with pytest.raises(errors.NotSquarefree):
         frobenius(Poly(F2, [0, 0, 1]))  # x^2
