@@ -2,14 +2,16 @@
 
 Everything here avoids the order oracle on purpose: it is the independent
 route used to cross-check the engine (and, internally, to seed the
-measurement simulation with true orders).  Its one use of modular
-composition, the large-q step of ``distinct_degree_parts``, is checked
-against sympy in ``tests/test_kernels.py``.  The pieces are
+measurement simulation with true orders).  Its uses of modular
+composition, the large-q steps of ``distinct_degree_parts`` and
+``is_irreducible``, are checked against sympy in ``tests/test_kernels.py``,
+``tests/test_differential.py`` and ``tests/test_classical.py``.  The pieces
+are
 
 * ``distinct_degree_parts``: textbook distinct-degree splitting; the ladder
   steps w -> w^q by powering or by composition with x^q, whichever costs
   fewer products for q and the current degree;
-* ``is_irreducible``: Rabin's criterion, same powering chain;
+* ``is_irreducible``: Rabin's criterion on the same ladder;
 * ``irreducibles``: exhaustive sieve enumeration of monic irreducibles for
   tiny q^d, cached per field;
 * ``split_probe``: one equal-degree splitting attempt, shared by
@@ -100,18 +102,27 @@ def splitting_degree(f: Poly) -> int:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's irreducibility criterion for monic f of degree >= 1."""
+    """Rabin's irreducibility criterion for monic f of degree >= 1.
+
+    w runs through x^(q^i) mod f.  x^q mod f comes from ``powmod``, not from
+    ``frobenius``, so the test shares no step with the engine's Frobenius.
+    Each later step powers w by q or composes w(x^q), by the same cost rule
+    as ``distinct_degree_parts``.
+    """
     if not f.is_monic() or len(f.coeffs) < 2:
         raise errors.BadInput("input must be monic of degree >= 1")
     n = f.degree
     if n == 1:
         return True
-    ctx = f.ctx
-    x = x_poly(ctx)
+    q = f.ctx.q
+    x = x_poly(f.ctx)
     checks = {n // t for t in factor_int(n)}
-    w = x % f
+    compose = q.bit_length() + bin(q).count("1") - 2 > 2 * math.isqrt(n)
+    xq = powmod(x, q, f)
+    w = xq
     for i in range(1, n + 1):
-        w = powmod(w, ctx.q, f)
+        if i > 1:
+            w = modcomp(w, xq, f) if compose else powmod(w, q, f)
         if i in checks and gcd(w - x, f).degree != 0:
             return False
     return w == x % f

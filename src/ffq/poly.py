@@ -4,24 +4,34 @@ Coefficient lists are ascending and never carry trailing zeros, so equal
 polynomials have equal lists.  The zero polynomial has an empty list and
 degree ``float("-inf")``.
 
-Over a prime field every kernel works on raw int lists with inline
-arithmetic; the per-element path through the field's methods is kept only
-for extension fields F_{p^m}.
+Every kernel works on raw coefficient lists with inline integer arithmetic;
+a field's element methods are called at most once per quotient coefficient
+of a division.  Over a prime field the lists hold ints.  Over
+F_{p^m} = F_p[y]/(h) they hold m-tuples, and each kernel runs F_{p^m}[x] as
+F_p[x, y]: a coefficient is spread over 2m - 1 F_p lanes, its m
+y-coefficients followed by m - 1 zero lanes, so a product of two such lane
+lists keeps every y-convolution inside its own group of lanes.  Each group
+is then reduced mod h with the rows y^(m+t) mod h of
+``ExtensionField._ytab``.
 
-Multiplication over a prime field is schoolbook for small operands and
-otherwise one Kronecker substitution: the coefficient vectors are packed
-into two big Python integers whose product (subquadratic via CPython's
-Karatsuba) is unpacked and reduced lane by lane.  Lanes of at most 64 bits
-are packed and reduced with numpy; wider lanes, for large p, are sliced
-byte-wise with ``int.to_bytes``/``int.from_bytes``.  Extension fields use
-schoolbook or explicit Karatsuba on field elements.
+Multiplication is schoolbook for short lane lists and otherwise one
+Kronecker substitution: the lanes are packed into two big Python integers
+whose product (subquadratic via CPython's Karatsuba) is unpacked and
+reduced lane by lane.  Lanes of at most 64 bits are packed and reduced with
+numpy; wider lanes, for large p, are sliced byte-wise with
+``int.to_bytes``/``int.from_bytes``.  An extension-field product is one such
+F_p product of the flattened lists.
 
-Division over a prime field is schoolbook with lazy reduction, and division
-by large monic divisors uses a cached Newton series inverse of the reversed
-divisor, making repeated reduction modulo a fixed polynomial quasi-linear
-after the first call.  Euclid over a prime field runs its whole remainder
-chain on int lists.  Modular composition uses Horner for small outer degree
-and Brent-Kung baby-step/giant-step above it.
+Division is schoolbook with lazy reduction: each step subtracts c*b from
+the running remainder without reducing it, and only the step's leading
+coefficient and the final remainder are reduced (over F_{p^m} the
+subtraction is a y-convolution on the lanes).  Division by large monic
+divisors uses a cached Newton series inverse of the reversed divisor,
+making repeated reduction modulo a fixed polynomial quasi-linear after the
+first call.  Euclid runs its whole remainder chain on raw lists.  Modular
+composition uses Horner for small outer degree and Brent-Kung
+baby-step/giant-step above it, whose block sums are packed big-integer dot
+products; over F_{p^m} each scalar is packed as an m-lane integer.
 
 The Frobenius image x^q mod f is computed by square-and-shift: a set bit
 of q costs a shift and one reduction step, not a product.  Endomorphism
@@ -60,10 +70,13 @@ __all__ = [
 ]
 
 SCHOOLBOOK_MAX = 16  # below this length, schoolbook multiplication wins
-KARATSUBA_MIN = 32  # threshold for the explicit Karatsuba fallback
 HORNER_MAX = 16  # modcomp switches to baby-step/giant-step at this degree
 _FAST_DIV_MIN_QUOTIENT = 16
 _FAST_DIV_MIN_DIVISOR = 32
+# Over F_{p^m}, Newton division wins once the divisor length and the
+# quotient degree both reach this (timed over F_4, F_9, F_{2^8} and
+# F_{(2^31-1)^2}).
+_FAST_DIV_EXT_MIN = 8
 
 _counters = {"mul": 0, "modcomp": 0}
 
@@ -155,51 +168,88 @@ def _divmod_int(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int
     return q, r
 
 
-def _school_gen(a: list, b: list, ctx: FieldCtx) -> list:
-    zero = ctx.zero
-    add = ctx.add
-    mul = ctx.mul
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai != zero:
-            for j, bj in enumerate(b):
-                if bj != zero:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
+# ----------------------------------------------------------------------
+# Extension fields: F_{p^m}[x] as F_p[x, y] on the prime-field kernels.
+# ----------------------------------------------------------------------
+
+
+def _flat(a: list, m: int) -> list[int]:
+    """The m-tuple coefficients of ``a`` as F_p lanes, 2m - 1 per coefficient.
+
+    The m - 1 zero lanes after each coefficient leave room for the y-degrees
+    of a product, so a product of flat lists never mixes x-coefficients.
+    The padding of the last coefficient is dropped.
+    """
+    step = 2 * m - 1
+    out = [0] * (len(a) * step)
+    for s, col in enumerate(zip(*a)):
+        out[s::step] = col
+    del out[len(a) * step - m + 1 :]
     return out
 
 
-def _kara_gen(a: list, b: list, ctx: FieldCtx) -> list:
-    n = min(len(a), len(b))
-    if n < KARATSUBA_MIN:
-        return _school_gen(a, b, ctx)
-    h = n // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _kara_gen(a0, b0, ctx)
-    z2 = _kara_gen(a1, b1, ctx)
+def _fold(lanes: list[int], ctx: FieldCtx) -> list[tuple]:
+    """Groups of 2m - 1 lanes (y-polynomials of degree <= 2m - 2) as elements.
+
+    ``len(lanes)`` is a multiple of 2m - 1; lanes may be unreduced.  Lane
+    m + t of a group adds its value times y^(m+t) mod h, the row
+    ``ctx._ytab[t]``, to the low m lanes.
+    """
+    m, p = ctx.m, ctx.p
+    step = 2 * m - 1
+    cols = [lanes[j::step] for j in range(step)]
+    for t, row in enumerate(ctx._ytab):
+        hi = cols[m + t]
+        for j, r in enumerate(row):
+            if r:
+                cols[j] = [x + r * z for x, z in zip(cols[j], hi)]
+    return list(zip(*[[v % p for v in cols[j]] for j in range(m)]))
+
+
+def _mul_ext(a: list, b: list, ctx: FieldCtx) -> list[tuple]:
+    """Product over F_{p^m}: one F_p product of the flat lanes, then a fold."""
+    m = ctx.m
+    return _fold(_mul_int(_flat(a, m), _flat(b, m), ctx.p), ctx)
+
+
+def _divmod_ext(a: list, b: list, ctx: FieldCtx) -> tuple[list, list]:
+    """Schoolbook quotient and remainder over F_{p^m}; b[-1] != 0.
+
+    The running remainder is kept as flat lanes, and each step subtracts the
+    y-convolution c * b lane by lane without reducing.  Only the step's
+    leading coefficient is reduced mod h and p, and the final remainder.
+    """
+    m, p = ctx.m, ctx.p
+    step = 2 * m - 1
+    ytab = ctx._ytab
+    db = len(b) - 1
+    inv = None if b[-1] == ctx.one else ctx.inv(b[-1])
+    bl = _flat(b[:db], m)
+    nb = len(bl)
+    r = _flat(a, m) + [0] * (m - 1)
     zero = ctx.zero
-    add, sub = ctx.add, ctx.sub
-    sa = [add(x, y) for x, y in _pad_zip_gen(a0, a1, zero)]
-    sb = [add(x, y) for x, y in _pad_zip_gen(b0, b1, zero)]
-    z1 = _kara_gen(sa, sb, ctx)
-    for i, v in enumerate(z0):
-        z1[i] = sub(z1[i], v)
-    for i, v in enumerate(z2):
-        z1[i] = sub(z1[i], v)
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, v in enumerate(z0):
-        out[i] = add(out[i], v)
-    for i, v in enumerate(z1):
-        out[i + h] = add(out[i + h], v)
-    for i, v in enumerate(z2):
-        out[i + 2 * h] = add(out[i + 2 * h], v)
-    return out
-
-
-def _pad_zip_gen(a: list, b: list, zero):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else zero), (b[i] if i < len(b) else zero)
+    q = [zero] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        k = i * step
+        lo = r[k : k + m]
+        for t, z in enumerate(r[k + m : k + step]):
+            if z:
+                lo = [x + z * y for x, y in zip(lo, ytab[t])]
+        c = tuple([v % p for v in lo])
+        if c == zero:
+            continue
+        if inv is not None:
+            c = ctx.mul(c, inv)
+        q[i - db] = c
+        base = (i - db) * step
+        for s, cs in enumerate(c):
+            if cs:
+                j = base + s
+                r[j : j + nb] = [x - cs * y for x, y in zip(r[j : j + nb], bl)]
+    rem = _fold(r[: db * step], ctx)
+    while rem and rem[-1] == zero:
+        rem.pop()
+    return q, rem
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +272,20 @@ def _series_inv(c: list[int], prec: int, p: int) -> list[int]:
         t = [(-v) % p for v in cg]
         t[0] = (t[0] + 2) % p
         g = _mul_trunc_int(g, t, k, p)
+    return g[:prec]
+
+
+def _series_inv_ext(c: list, prec: int, ctx: FieldCtx) -> list[tuple]:
+    """``_series_inv`` over F_{p^m}; 2 - c*g is formed on the flat lanes."""
+    m = ctx.m
+    step = 2 * m - 1
+    g = [ctx.one]
+    k = 1
+    while k < prec:
+        k = min(2 * k, prec)
+        t = [-v for v in _mul_int(_flat(c[:k], m), _flat(g, m), ctx.p)[: k * step]]
+        t[0] += 2
+        g = _mul_ext(g, _fold(t, ctx), ctx)[:k]
     return g[:prec]
 
 
@@ -344,13 +408,12 @@ class Poly:
 
     def scaled(self, c) -> "Poly":
         ctx = self.ctx
-        if c == ctx.zero:
+        if c == ctx.zero or not self.coeffs:
             return Poly.zero(ctx)
         if ctx.m == 1:
             p = ctx.p
             return Poly(ctx, [v * c % p for v in self.coeffs])
-        mul = ctx.mul
-        return Poly(ctx, [mul(v, c) for v in self.coeffs])
+        return Poly(ctx, _mul_ext([c], self.coeffs, ctx))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -361,11 +424,7 @@ class Poly:
         if ctx.m == 1:
             out = _mul_int(self.coeffs, other.coeffs, ctx.p)
         else:
-            nmin = min(len(self.coeffs), len(other.coeffs))
-            if nmin < KARATSUBA_MIN:
-                out = _school_gen(self.coeffs, other.coeffs, ctx)
-            else:
-                out = _kara_gen(self.coeffs, other.coeffs, ctx)
+            out = _mul_ext(self.coeffs, other.coeffs, ctx)
         return Poly(ctx, out)
 
     def shift(self, k: int) -> "Poly":
@@ -409,7 +468,14 @@ class Poly:
         if la < lb:
             return Poly.zero(ctx), self
         if ctx.m != 1:
-            return self._divmod_school(other)
+            if (
+                other.coeffs[-1] == ctx.one
+                and lb >= _FAST_DIV_EXT_MIN
+                and la - lb >= _FAST_DIV_EXT_MIN
+            ):
+                return self._divmod_fast(other)
+            q, r = _divmod_ext(self.coeffs, other.coeffs, ctx)
+            return Poly(ctx, q, normalize=False), Poly(ctx, r, normalize=False)
         if (
             other.coeffs[-1] == 1
             and lb >= _FAST_DIV_MIN_DIVISOR
@@ -419,45 +485,34 @@ class Poly:
         q, r = _divmod_int(self.coeffs, other.coeffs, ctx.p)
         return Poly(ctx, q, normalize=False), Poly(ctx, r, normalize=False)
 
-    def _divmod_school(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Schoolbook division through the field's element operations."""
-        ctx = self.ctx
-        zero = ctx.zero
-        r = list(self.coeffs)
-        b = other.coeffs
-        db = len(b) - 1
-        inv_lead = ctx.inv(b[-1])
-        q = [zero] * (len(r) - db)
-        sub, mul = ctx.sub, ctx.mul
-        for i in range(len(r) - 1, db - 1, -1):
-            c = r[i]
-            if c != zero:
-                c = mul(c, inv_lead)
-                q[i - db] = c
-                for j in range(db + 1):
-                    if b[j] != zero:
-                        r[i - db + j] = sub(r[i - db + j], mul(c, b[j]))
-        return Poly(ctx, q), Poly(ctx, r[:db])
-
     def _divmod_fast(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Division by a monic divisor through a cached Newton inverse."""
         ctx = self.ctx
-        p = ctx.p
         a = self.coeffs
         b = other.coeffs
         k = len(a) - len(b) + 1
         cached = other._red
         if cached is None or cached[0] < k:
-            rev_b = b[::-1]
-            inv = _series_inv(rev_b, k, p)
+            if ctx.m == 1:
+                inv = _series_inv(b[::-1], k, ctx.p)
+            else:
+                inv = _series_inv_ext(b[::-1], k, ctx)
             other._red = (k, inv)
         else:
             inv = cached[1][:k]
-        rev_a = a[::-1]
-        q_rev = _mul_trunc_int(rev_a, inv, k, p)
-        q = q_rev[::-1]
-        qb = _mul_int(q, b, p)
         lb = len(b) - 1
-        r = [(a[i] - qb[i]) % p for i in range(lb)]
+        if ctx.m == 1:
+            p = ctx.p
+            q = _mul_trunc_int(a[::-1], inv, k, p)[::-1]
+            qb = _mul_int(q, b, p)
+            r = [(a[i] - qb[i]) % p for i in range(lb)]
+            return Poly(ctx, q), Poly(ctx, r)
+        q = _mul_ext(a[::-1][:k], inv, ctx)[:k][::-1]
+        # Only the low lb coefficients of q*b are needed, and they come from
+        # the low lb coefficients of each factor.
+        qb = _mul_int(_flat(q[:lb], ctx.m), _flat(b[:lb], ctx.m), ctx.p)
+        low = _flat(a[:lb], ctx.m) + [0] * (ctx.m - 1)
+        r = _fold([x - y for x, y in zip(low, qb)], ctx)
         return Poly(ctx, q), Poly(ctx, r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -507,13 +562,13 @@ def gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero() and b.is_zero():
         raise errors.BothZero("gcd(0, 0) is undefined")
     ctx = a.ctx
+    u, v = a.coeffs, b.coeffs
     if ctx.m != 1:
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        while v:
+            u, v = v, _divmod_ext(u, v, ctx)[1]
+        return Poly(ctx, u, normalize=False).monic()
     # Prime field: the whole remainder chain on raw int lists.
     p = ctx.p
-    u, v = a.coeffs, b.coeffs
     while v:
         u, v = v, _divmod_int(u, v, p)[1]
     inv = pow(u[-1], -1, p)
@@ -577,10 +632,7 @@ def modcomp(a: Poly, g: Poly, f: Poly) -> Poly:
     for _ in range(t):
         G.append((G[-1] * g) % f)
     nblocks = (len(coeffs) + t - 1) // t
-    if ctx.m == 1:
-        blocks = _bsgs_blocks_packed(coeffs, G, t, nblocks, f, ctx.p)
-    else:
-        blocks = _bsgs_blocks_generic(coeffs, G, t, nblocks, ctx)
+    blocks = _bsgs_blocks_packed(coeffs, G, t, nblocks, f)
     giant = G[t]
     acc = blocks[-1]
     for i in range(nblocks - 2, -1, -1):
@@ -589,36 +641,37 @@ def modcomp(a: Poly, g: Poly, f: Poly) -> Poly:
     return acc % f
 
 
-def _bsgs_blocks_packed(coeffs, G, t, nblocks, f, p):
-    """Block linear combinations sum_j c[it+j] * G[j] via packed integers."""
+def _bsgs_blocks_packed(coeffs, G, t, nblocks, f):
+    """Block linear combinations sum_j c[it+j] * G[j] via packed integers.
+
+    Over F_{p^m} each G[j] is packed from its flat lanes and each scalar
+    c[it+j] as an m-lane integer, so one big-integer product forms the
+    y-convolution of the scalar with every coefficient of G[j].
+    """
     n = len(f.coeffs) - 1
-    wb, dt = _pack_width(t, p)
     ctx = f.ctx
-    packed = [_pack(G[j].coeffs, wb, dt) for j in range(t)]
+    p, m = ctx.p, ctx.m
+    wb, dt = _pack_width(t * m, p)
+    if m == 1:
+        packed = [_pack(G[j].coeffs, wb, dt) for j in range(t)]
+        scalars = coeffs
+    else:
+        packed = [_pack(_flat(G[j].coeffs, m), wb, dt) for j in range(t)]
+        shifts = [8 * wb * s for s in range(m)]
+        scalars = [sum([v << sh for v, sh in zip(c, shifts)]) for c in coeffs]
     out = []
     for i in range(nblocks):
-        chunk = coeffs[i * t : (i + 1) * t]
+        chunk = scalars[i * t : (i + 1) * t]
         acc = 0
         for j, c in enumerate(chunk):
             if c:
                 acc += c * packed[j]
         if acc == 0:
             out.append(Poly.zero(ctx))
-            continue
-        out.append(Poly(ctx, _unpack(acc, n, wb, dt, p)))
-    return out
-
-
-def _bsgs_blocks_generic(coeffs, G, t, nblocks, ctx):
-    zero = ctx.zero
-    out = []
-    for i in range(nblocks):
-        chunk = coeffs[i * t : (i + 1) * t]
-        acc = Poly.zero(ctx)
-        for j, c in enumerate(chunk):
-            if c != zero:
-                acc = acc + G[j].scaled(c)
-        out.append(acc)
+        elif m == 1:
+            out.append(Poly(ctx, _unpack(acc, n, wb, dt, p)))
+        else:
+            out.append(Poly(ctx, _fold(_unpack(acc, n * (2 * m - 1), wb, dt, p), ctx)))
     return out
 
 

@@ -20,7 +20,16 @@ from ffq.classical import (
     is_irreducible,
     splitting_degree,
 )
-from ffq.poly import Poly, counters, frobenius, gcd, random_monic, random_squarefree, x_poly
+from ffq.poly import (
+    Poly,
+    counters,
+    frobenius,
+    gcd,
+    random_monic,
+    random_squarefree,
+    reset_counters,
+    x_poly,
+)
 from ffq.rng import make_rng
 
 from helpers import (
@@ -29,6 +38,7 @@ from helpers import (
     distinct_irreducibles,
     ladder_by_powering,
     product,
+    rand_irreducible,
 )
 
 F2 = field_new(2)
@@ -63,6 +73,34 @@ def test_is_irreducible_matches_sympy_at_degree_six(p):
     oracle = [gf_irreducible_p(f.coeffs[::-1], p, ZZ) for f in all_monic(ctx, 6)]
     assert verdicts == oracle
     assert sum(verdicts) == count_irreducibles(p, 6)
+
+
+def test_is_irreducible_matches_sympy_at_large_p():
+    """Over F_{2^61-1} Rabin's ladder composes with x^q instead of powering.
+
+    Random monics stop at a gcd check; constructed irreducibles run every
+    step; the 7 * 13 product at degree 20 passes both gcd checks (at 10 and
+    4) and fails only the final x^(q^20) == x test.
+    """
+    p = (1 << 61) - 1
+    ctx = field_new(p)
+    rng = make_rng(61)
+    cases = [random_monic(ctx, n, rng) for n in (20, 21, 24, 30) for _ in range(3)]
+    cases += [rand_irreducible(ctx, n, rng) for n in (20, 24)]
+    cases.append(rand_irreducible(ctx, 7, rng) * rand_irreducible(ctx, 13, rng))
+    cases.append(rand_irreducible(ctx, 10, rng) * rand_irreducible(ctx, 10, rng))
+    reset_counters()
+    verdicts = [is_irreducible(f) for f in cases]
+    assert counters()["modcomp"] > 0
+    assert verdicts == [gf_irreducible_p(f.coeffs[::-1], p, ZZ) for f in cases]
+    assert verdicts[-4:] == [True, True, False, False]
+
+
+def test_is_irreducible_powers_for_small_q():
+    reset_counters()
+    f = Poly(F2, [1, 1] + [0] * 18 + [1])  # x^20 + x + 1
+    assert is_irreducible(f) == gf_irreducible_p(f.coeffs[::-1], 2, ZZ)
+    assert counters()["modcomp"] == 0
 
 
 def test_products_are_never_irreducible():

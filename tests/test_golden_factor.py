@@ -5,9 +5,11 @@ returned and the state of the generator after the call.  The inputs follow
 the benchmark recipe: input ``i`` of seed ``s`` draws its degree (when the
 shape has a range) and then its coefficients with ``random_monic`` from
 ``trial_rng(s, i)``, and ``factor`` continues on that generator.  The shapes
-are F_3 at degree 128, F_{2^61-1} at degrees 20 and 40, F_9 at degree 17 and
-F_101 at degrees 5-7.  A change that alters any factor, or any random draw
-the oracle or the splitting makes, fails here.
+are F_3 at degree 128, F_{2^61-1} at degrees 20 and 40, F_9 at degree 17,
+F_101 at degrees 5-7, and three more extension fields whose packed products
+take different lanes: F_4 at degree 40, F_{2^8} at degree 20 and
+F_{(2^31-1)^2} at degree 20 (byte lanes).  A change that alters any factor,
+or any random draw the oracle or the splitting makes, fails here.
 
 Rewrite the file with ``python tests/test_golden_factor.py`` only when such a
 change is intended, and say which outputs changed and why.
@@ -32,6 +34,9 @@ SHAPES = [
     ("fwide-n40", (1 << 61) - 1, 1, None, 40, 40, 1, 2),
     ("f9-n17", 3, 2, [1, 0, 1], 17, 17, 1, 2),
     ("f101-n5-7", 101, 1, None, 5, 7, 1, 20),
+    ("f4-n40", 2, 2, [1, 1, 1], 40, 40, 1, 2),
+    ("f256-n20", 2, 8, [1, 1, 0, 1, 1, 0, 0, 0, 1], 20, 20, 1, 2),
+    ("fp31sq-n20", (1 << 31) - 1, 2, [1, 0, 1], 20, 20, 1, 2),
 ]
 
 

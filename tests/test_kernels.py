@@ -1,10 +1,13 @@
-"""Prime-field kernels against sympy's galoistools, an independent oracle.
+"""Kernels against sympy, an independent oracle.
 
-galoistools stores coefficients in descending order; ffq stores them
-ascending, so every comparison reverses the list.  Sizes straddle the
-schoolbook and fast-division thresholds, and the primes reach every lane
-width the Kronecker multiply can pick: 16, 32 and 64-bit numpy lanes and
-byte lanes above 64 bits.
+Prime fields are checked against galoistools.  galoistools stores
+coefficients in descending order; ffq stores them ascending, so every
+comparison reverses the list.  Extension fields F_{p^m} are checked against
+the ``ref_*`` arithmetic of ``helpers``: products in sympy's F_p[x, y], each
+x-coefficient reduced by h with galoistools.  Sizes straddle the schoolbook
+and fast-division thresholds, and the fields reach every lane width the
+Kronecker multiply can pick: 16, 32 and 64-bit numpy lanes and byte lanes
+above 64 bits.
 """
 
 from math import isqrt
@@ -26,8 +29,10 @@ from sympy.polys.galoistools import (
 
 from ffq import field_new
 from ffq.poly import (
+    _FAST_DIV_EXT_MIN,
     _FAST_DIV_MIN_DIVISOR,
     _FAST_DIV_MIN_QUOTIENT,
+    HORNER_MAX,
     SCHOOLBOOK_MAX,
     Poly,
     _pack_width,
@@ -37,6 +42,8 @@ from ffq.poly import (
     random_poly,
 )
 from ffq.rng import make_rng
+
+from helpers import ref_divmod, ref_gcd, ref_modcomp, ref_monic, ref_mul
 
 PRIMES = [2, 3, 65537, (1 << 31) - 1, (1 << 61) - 1, (1 << 127) - 1]
 FIELDS = {p: field_new(p) for p in PRIMES}
@@ -184,3 +191,151 @@ def test_kernels_agree_with_galoistools(p, la, lb, lc, seed):
     check_divmod(a, b.monic())
     c = random_poly(ctx, lc - 1, rng)
     check_gcd(a * c, b * c)
+
+
+# ----------------------------------------------------------------------
+# Extension fields F_{p^m}: packed through F_p[x, y].
+# ----------------------------------------------------------------------
+
+P31 = (1 << 31) - 1
+EXT_FIELDS = {
+    "F4": field_new(2, 2, [1, 1, 1]),
+    "F9": field_new(3, 2, [1, 0, 1]),
+    "F25": field_new(5, 2, [2, 0, 1]),
+    "F256": field_new(2, 8, [1, 1, 0, 1, 1, 0, 0, 0, 1]),
+    "Fp31^2": field_new(P31, 2, [1, 0, 1]),
+}
+EXT = sorted(EXT_FIELDS)
+
+
+def flat_len(n: int, m: int) -> int:
+    """F_p lanes of an n-coefficient operand: 2m - 1 per coefficient, less the
+    trailing padding."""
+    return n * (2 * m - 1) - (m - 1)
+
+
+def school_edge(m: int) -> int:
+    """The fewest coefficients whose lanes leave the schoolbook multiply."""
+    n = 1
+    while flat_len(n, m) <= SCHOOLBOOK_MAX:
+        n += 1
+    return n
+
+
+def check_ext_mul(a: Poly, b: Poly) -> None:
+    assert a * b == ref_mul(a, b), (a.ctx, len(a.coeffs), len(b.coeffs))
+
+
+def check_ext_divmod(a: Poly, b: Poly) -> None:
+    assert divmod(a, b) == ref_divmod(a, b), (a.ctx, len(a.coeffs), len(b.coeffs))
+
+
+@pytest.mark.parametrize("name", EXT)
+def test_ext_mul_straddles_schoolbook_threshold(name):
+    ctx = EXT_FIELDS[name]
+    rng = make_rng(ctx.q % 1000 + 6)
+    e = school_edge(ctx.m)
+    for la, lb in [(1, 1), (1, e + 2), (e - 1, e - 1), (e - 1, e), (e, e),
+                   (e, e + 1), (e + 1, 3 * e), (33, 33), (70, 17)]:
+        check_ext_mul(random_poly(ctx, la - 1, rng), random_poly(ctx, lb - 1, rng))
+
+
+def test_ext_fields_reach_numpy_and_byte_lanes():
+    """Small characteristics pack into 16-bit lanes, p = 2^31 - 1 into byte
+    lanes; the lane-edge fields below reach 32 and 64 bits."""
+    for name, ctx in EXT_FIELDS.items():
+        wb, dt = _pack_width(flat_len(school_edge(ctx.m), ctx.m), ctx.p)
+        if ctx.p < 8:
+            assert (wb, dt) == (2, "<u2"), name
+        else:
+            assert dt is None and wb > 8, name
+
+
+@pytest.mark.parametrize("bits", [16, 32, 64])
+def test_ext_mul_at_each_lane_width_edge(bits):
+    """Quadratic extensions over the primes at both sides of each lane limit."""
+    nx = school_edge(2)
+    nmin = flat_len(nx, 2)
+    inside, outside = lane_edge_primes(nmin, bits)
+    assert _pack_width(nmin, inside)[0] == bits // 8
+    assert _pack_width(nmin, outside)[0] > bits // 8
+    for p in (inside, outside):
+        ctx = field_new(p, 2, rng=make_rng(p % 1000 + 7))
+        worst = Poly(ctx, [(p - 1, p - 1)] * nx)
+        check_ext_mul(worst, worst)
+        check_ext_mul(worst, Poly(ctx, [(p - 1, p - 1)] * (3 * nx)))
+        rng = make_rng(bits)
+        check_ext_mul(random_poly(ctx, nx, rng), random_poly(ctx, 2 * nx, rng))
+
+
+@pytest.mark.parametrize("name", EXT)
+def test_ext_divmod_straddles_fast_division_thresholds(name):
+    ctx = EXT_FIELDS[name]
+    rng = make_rng(ctx.q % 997 + 8)
+    d = k = _FAST_DIV_EXT_MIN
+    for lb in (d - 1, d, d + 1):
+        for quot in (k - 1, k, k + 1):
+            a = random_poly(ctx, lb + quot - 1, rng)
+            check_ext_divmod(a, random_monic(ctx, lb - 1, rng))
+            check_ext_divmod(a, random_poly(ctx, lb - 1, rng))  # non-monic
+    for da, db in [(0, 0), (5, 0), (3, 7), (20, 20), (40, 5)]:
+        check_ext_divmod(random_poly(ctx, da, rng), random_poly(ctx, db, rng))
+
+
+@pytest.mark.parametrize("name", EXT)
+def test_ext_newton_inverse_cache_grows_and_is_reused(name):
+    """One monic divisor, dividends whose quotients grow, shrink and grow."""
+    ctx = EXT_FIELDS[name]
+    rng = make_rng(ctx.q % 991 + 9)
+    b = random_monic(ctx, 2 * _FAST_DIV_EXT_MIN, rng)
+    for quot in (_FAST_DIV_EXT_MIN, 3 * _FAST_DIV_EXT_MIN, 12, 40):
+        check_ext_divmod(random_poly(ctx, b.degree + quot, rng), b)
+
+
+@pytest.mark.parametrize("name", EXT)
+def test_ext_gcd_and_scaling_against_reference(name):
+    ctx = EXT_FIELDS[name]
+    rng = make_rng(ctx.q % 983 + 10)
+    for da, db, dc in [(3, 5, 0), (10, 7, 4), (20, 23, 9), (1, 30, 12)]:
+        c = random_poly(ctx, dc, rng)
+        a, b = random_poly(ctx, da, rng) * c, random_poly(ctx, db, rng) * c
+        assert gcd(a, b) == ref_gcd(a, b), (da, db, dc)
+    f = random_poly(ctx, 9, rng)
+    assert gcd(f, Poly.zero(ctx)) == gcd(Poly.zero(ctx), f) == ref_monic(f)
+    for n in (1, 9, 40):
+        f = random_poly(ctx, n, rng)
+        c = ctx.rand(rng)
+        assert f.scaled(c) == ref_mul(f, Poly.const(ctx, c))
+        assert f.monic() == ref_monic(f)
+
+
+@pytest.mark.parametrize("name", EXT)
+def test_ext_modcomp_horner_and_blocks_against_reference(name):
+    ctx = EXT_FIELDS[name]
+    rng = make_rng(ctx.q % 977 + 11)
+    h = HORNER_MAX
+    for df, da in [(6, 5), (h + 3, h - 1), (h + 3, h), (24, 30)]:
+        f = random_monic(ctx, df, rng)
+        a = random_poly(ctx, da, rng)
+        g = random_poly(ctx, df - 1, rng)
+        assert modcomp(a, g, f) == ref_modcomp(a, g, f), (df, da)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(EXT),
+    la=st.integers(0, 40),
+    lb=st.integers(1, 30),
+    lc=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ext_kernels_agree_with_reference(name, la, lb, lc, seed):
+    ctx = EXT_FIELDS[name]
+    rng = make_rng(seed)
+    a = random_poly(ctx, la - 1, rng)
+    b = random_poly(ctx, lb - 1, rng)
+    check_ext_mul(a, b)
+    check_ext_divmod(a, b)
+    check_ext_divmod(a, b.monic())
+    c = random_poly(ctx, lc - 1, rng)
+    assert gcd(a * c, b * c) == ref_gcd(a * c, b * c)

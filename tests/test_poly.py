@@ -1,11 +1,14 @@
 """Polynomial arithmetic: kernels, division, composition, Frobenius maps."""
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_div
 
 from ffq import errors, field_new
 from ffq.poly import (
     Endo,
     Poly,
+    _divmod_ext,
     _divmod_int,
     counters,
     frobenius,
@@ -22,7 +25,7 @@ from ffq.poly import (
 )
 from ffq.rng import make_rng
 
-from helpers import rand_irreducible
+from helpers import rand_irreducible, ref_divmod
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -64,7 +67,7 @@ def test_construction_drops_trailing_zeros():
 def test_multiplication_matches_reference_all_kernels():
     rng = make_rng(2024)
     # small prime (packed 16/32-bit lanes), large prime (big-int fallback),
-    # and an extension field (generic kernel)
+    # and extension fields (the same kernels through F_p[x, y])
     big = (1 << 61) - 1
     fields = [F2, F3, F5, field_new(65537), field_new(big), F9, field_new(2, 3, rng=make_rng(69))]
     for ctx in fields:
@@ -98,8 +101,9 @@ def test_divmod_matches_reference():
 
 
 def test_divmod_fast_and_schoolbook_agree():
-    """Newton division against the int schoolbook kernel that runs below its
-    thresholds, and against the generic element-wise schoolbook."""
+    """Newton division against the lazy schoolbook kernel that runs below its
+    thresholds, and both against an independent reference: galoistools over
+    F_5, the galoistools-based schoolbook of ``helpers`` over F_9."""
     rng = make_rng(13)
     for _ in range(20):
         a = random_poly(F5, int(rng.integers(64, 160)), rng)
@@ -107,8 +111,15 @@ def test_divmod_fast_and_schoolbook_agree():
         q, r = a._divmod_fast(b)
         qi, ri = _divmod_int(a.coeffs, b.coeffs, F5.p)
         assert q.coeffs == qi and r.coeffs == ri
-        qs, rs = a._divmod_school(b)
-        assert q == qs and r == rs
+        gq, gr = gf_div(a.coeffs[::-1], b.coeffs[::-1], F5.p, ZZ)
+        assert qi == [int(v) for v in gq[::-1]] and ri == [int(v) for v in gr[::-1]]
+    for _ in range(10):
+        a = random_poly(F9, int(rng.integers(20, 60)), rng)
+        b = random_monic(F9, int(rng.integers(4, 20)), rng)
+        q, r = a._divmod_fast(b)
+        qe, re = _divmod_ext(a.coeffs, b.coeffs, F9)
+        assert q.coeffs == qe and r.coeffs == re
+        assert (q, r) == ref_divmod(a, b)
 
 
 def test_division_by_non_monic_and_units():
