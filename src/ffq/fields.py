@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random as _random
+from itertools import zip_longest
 
 import numpy as np
 
@@ -304,9 +305,27 @@ class ExtensionField(FieldCtx):
         return tuple(v % p for v in conv[:m])
 
     def inv(self, a):
+        """Inverse by extended Euclid on the y-coefficient lists, mod h."""
         if a == self._zero:
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.q - 2)
+        # poly imports this module; its int-list kernels are F_p[y] here.
+        from .poly import _divmod_int, _mul_int
+
+        p = self.p
+        # Invariant: s_i * a = r_i mod h.  h is irreducible, so the remainder
+        # chain ends at a nonzero constant.
+        r0, r1 = list(self.h), list(a)
+        while not r1[-1]:
+            r1.pop()
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            quo, rem = _divmod_int(r0, r1, p)
+            qs = _mul_int(quo, s1, p)
+            r0, r1 = r1, rem
+            s0, s1 = s1, [(u - v) % p for u, v in zip_longest(s0, qs, fillvalue=0)]
+        c = pow(r1[0], -1, p)
+        out = [v * c % p for v in s1[: self.m]]
+        return tuple(out + [0] * (self.m - len(out)))
 
     def pow(self, a, e: int):
         if e < 0:

@@ -33,13 +33,23 @@ composition uses Horner for small outer degree and Brent-Kung
 baby-step/giant-step above it, whose block sums are packed big-integer dot
 products; over F_{p^m} each scalar is packed as an m-lane integer.
 
+Over a prime field whose products fit 64-bit lanes, arithmetic modulo one
+monic f of degree at least ``_MODCTX_MIN`` runs in a packed reduction
+context (``_ModCtx``), built once and cached on f.  Residues stay numpy
+int64 lanes between products and become lists only when they leave as a
+``Poly``; a modular product is three big-integer products, against f's low
+part and the Newton inverse of reversed f, both packed once.  ``mulmod``,
+``powmod``, the squarings of ``frobenius`` and all of ``modcomp`` (baby
+steps, block sums and the giant-step Horner) run in it.
+
 The Frobenius image x^q mod f is computed by square-and-shift: a set bit
 of q costs a shift and one reduction step, not a product.  Endomorphism
 powers are square-and-multiply (``Endo.pow``) or, for s^(D/p) over every
 prime p | D at once, recursive halving.
 
-Module-level counters track multiplications and modular compositions so
-benchmarks can report work alongside wall time.
+Module-level counters track multiplications (one per product, modular or
+not) and modular compositions so benchmarks can report work alongside wall
+time.
 """
 
 from __future__ import annotations
@@ -77,6 +87,11 @@ _FAST_DIV_MIN_DIVISOR = 32
 # quotient degree both reach this (timed over F_4, F_9, F_{2^8} and
 # F_{(2^31-1)^2}).
 _FAST_DIV_EXT_MIN = 8
+# Modular products, powers and compositions mod a monic f of at least this
+# degree use the packed reduction context ``_ModCtx`` over prime fields whose
+# products fit 64-bit lanes.  Timed over F_3, F_101 and F_65537, its mulmod
+# loses to (a * b) % f at degree 10 over F_3 and wins from degree 12 on.
+_MODCTX_MIN = 12
 
 _counters = {"mul": 0, "modcomp": 0}
 
@@ -292,7 +307,7 @@ def _series_inv_ext(c: list, prec: int, ctx: FieldCtx) -> list[tuple]:
 class Poly:
     """Immutable-by-convention dense polynomial over a field context."""
 
-    __slots__ = ("ctx", "coeffs", "_red")
+    __slots__ = ("ctx", "coeffs", "_red", "_mod")
 
     def __init__(self, ctx: FieldCtx, coeffs: list, normalize: bool = True):
         self.ctx = ctx
@@ -303,6 +318,7 @@ class Poly:
                 coeffs.pop()
         self.coeffs = coeffs
         self._red = None  # cached (precision, series inverse) for division
+        self._mod = None  # cached _ModCtx as a modulus, or False where none applies
 
     # -- constructors ---------------------------------------------------
 
@@ -576,6 +592,9 @@ def gcd(a: Poly, b: Poly) -> Poly:
 
 
 def mulmod(a: Poly, b: Poly, f: Poly) -> Poly:
+    mc = _modctx(f)
+    if mc:
+        return mc.poly(mc.mul(mc.pack(mc.residue(a)), mc.pack(mc.residue(b))))
     return (a * b) % f
 
 
@@ -583,6 +602,9 @@ def powmod(a: Poly, e: int, f: Poly) -> Poly:
     """a^e mod f by square-and-multiply; e >= 0."""
     if e < 0:
         raise errors.BadInput("negative exponent")
+    mc = _modctx(f)
+    if mc:
+        return mc.poly(mc.pow(mc.residue(a), e))
     ctx = a.ctx
     result = Poly.one(ctx) % f
     cur = a % f
@@ -593,6 +615,141 @@ def powmod(a: Poly, e: int, f: Poly) -> Poly:
         if e:
             cur = (cur * cur) % f
     return result
+
+
+# ----------------------------------------------------------------------
+# Packed arithmetic modulo a fixed monic polynomial (prime fields).
+# ----------------------------------------------------------------------
+
+
+def _modctx(f: Poly):
+    """The packed reduction context of ``f``, or False where none applies.
+
+    It applies to monic f over a prime field of degree at least
+    ``_MODCTX_MIN`` whose products fit 64-bit lanes, and is built once per
+    modulus.
+    """
+    mc = f._mod
+    if mc is None:
+        mc = False
+        n = len(f.coeffs) - 1
+        if f.ctx.m == 1 and n >= _MODCTX_MIN and f.coeffs[-1] == 1:
+            wb, dt = _pack_width(n, f.ctx.p)
+            if dt is not None:
+                mc = _ModCtx(f, wb, dt)
+        f._mod = mc
+    return mc
+
+
+class _ModCtx:
+    """Residues modulo a monic f of degree n over F_p, as packed lanes.
+
+    A residue is a numpy int64 array of n reduced coefficients.  f's low n
+    coefficients and the Newton inverse of reversed f modulo x^(n-1) are
+    packed once, so a modular product is three big-integer products: a*b,
+    its reversed top half times the inverse (the quotient), and the quotient
+    times f's low part.  A lane holds n products of two coefficients, enough
+    for every one of them and for Brent-Kung block sums of at most n terms.
+    """
+
+    __slots__ = ("ctx", "p", "n", "wb", "dt", "f", "low", "flow", "finv")
+
+    def __init__(self, f: Poly, wb: int, dt):
+        p = f.ctx.p
+        n = len(f.coeffs) - 1
+        self.ctx, self.p, self.n, self.wb, self.dt = f.ctx, p, n, wb, dt
+        self.f = f.coeffs
+        self.low = np.array(f.coeffs[:n], dtype=np.int64)
+        self.flow = self.pack(self.low)
+        inv = _series_inv(f.coeffs[::-1], n - 1, p)
+        self.finv = self.pack(np.array(inv, dtype=np.int64))
+
+    def pack(self, a: np.ndarray) -> int:
+        return int.from_bytes(a.astype(self.dt).tobytes(), "little")
+
+    def lanes(self, v: int, k: int) -> np.ndarray:
+        """The lowest ``k`` lanes of ``v``, unreduced."""
+        wb = self.wb
+        buf = v.to_bytes(max(k * wb, (v.bit_length() + 7) // 8), "little")
+        return np.frombuffer(buf, dtype=self.dt, count=k).astype(np.int64)
+
+    def residue(self, a: Poly) -> np.ndarray:
+        if a.ctx != self.ctx:
+            raise errors.FieldMismatch("operands from different fields")
+        c = a.coeffs
+        if len(c) > self.n:
+            c = _divmod_int(c, self.f, self.p)[1]
+        out = np.zeros(self.n, dtype=np.int64)
+        out[: len(c)] = c
+        return out
+
+    def poly(self, a: np.ndarray) -> Poly:
+        return Poly(self.ctx, a.tolist())
+
+    def mul(self, a: int, b: int) -> np.ndarray:
+        """(a * b) mod f from packed residues a and b."""
+        _counters["mul"] += 1
+        n, p = self.n, self.p
+        c = self.lanes(a * b, 2 * n - 1)
+        qrev = self.lanes(self.pack(c[: n - 1 : -1] % p) * self.finv, n - 1) % p
+        return (c[:n] - self.lanes(self.pack(qrev[::-1]) * self.flow, n)) % p
+
+    def shift(self, a: np.ndarray) -> np.ndarray:
+        """x * a mod f: a shift, then x^n = -(f's low part) for the top lane."""
+        out = np.empty_like(a)
+        out[0] = 0
+        out[1:] = a[:-1]
+        top = a[-1]
+        return (out - top * self.low) % self.p if top else out
+
+    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        """a^e mod f by square-and-multiply."""
+        out = None
+        sq = self.pack(a)
+        while e:
+            if e & 1:
+                out = a if out is None else self.mul(self.pack(out), sq)
+            e >>= 1
+            if e:
+                a = self.mul(sq, sq)
+                sq = self.pack(a)
+        if out is None:
+            out = np.zeros(self.n, dtype=np.int64)
+            out[0] = 1
+        return out
+
+    def compose(self, a: list[int], g: np.ndarray) -> np.ndarray:
+        """a(g) mod f, for a coefficient list a with isqrt(len(a) - 1) < n.
+
+        Horner for short a, otherwise Brent-Kung: baby steps g^j, block sums
+        as packed dot products with a's coefficients, and a giant-step Horner
+        in g^t.
+        """
+        p, n = self.p, self.n
+        gp = self.pack(g)
+        if len(a) <= HORNER_MAX:
+            acc = np.zeros(n, dtype=np.int64)
+            acc[0] = a[-1]
+            for c in a[-2::-1]:
+                acc = self.mul(self.pack(acc), gp)
+                acc[0] = (acc[0] + c) % p
+            return acc
+        t = isqrt(len(a) - 1) + 1
+        powers = [1, gp]  # g^0, ..., g^(t-1), packed
+        for _ in range(t - 2):
+            powers.append(self.pack(self.mul(powers[-1], gp)))
+        giant = self.pack(self.mul(powers[-1], gp))
+        blocks = []
+        for i in range(0, len(a), t):
+            acc = 0
+            for c, gj in zip(a[i : i + t], powers):
+                if c:
+                    acc += c * gj
+            blocks.append(self.lanes(acc, n) % p)
+        acc = blocks.pop()
+        while blocks:
+            acc = (self.mul(self.pack(acc), giant) + blocks.pop()) % p
+        return acc
 
 
 # ----------------------------------------------------------------------
@@ -619,6 +776,9 @@ def modcomp(a: Poly, g: Poly, f: Poly) -> Poly:
     coeffs = a.coeffs
     if len(coeffs) == 0:
         return Poly.zero(ctx)
+    mc = _modctx(f)
+    if mc and isqrt(len(coeffs) - 1) < mc.n:
+        return mc.poly(mc.compose(coeffs, mc.residue(g)))
     if len(coeffs) <= HORNER_MAX:
         acc = Poly.zero(ctx)
         for c in reversed(coeffs):
@@ -784,6 +944,15 @@ def frobenius(f: Poly, check: bool = True) -> Endo:
         d = f.deriv()
         if d.is_zero() or gcd(f, d).degree > 0:
             raise errors.NotSquarefree("modulus must be squarefree")
+    mc = _modctx(f)
+    if mc:
+        img = mc.residue(x_poly(f.ctx))
+        for bit in bin(f.ctx.q)[3:]:
+            a = mc.pack(img)
+            img = mc.mul(a, a)
+            if bit == "1":
+                img = mc.shift(img)
+        return Endo(f, mc.poly(img))
     n = len(f.coeffs)
     img = x_poly(f.ctx) % f
     for bit in bin(f.ctx.q)[3:]:

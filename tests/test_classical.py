@@ -13,6 +13,7 @@ from sympy.polys.galoistools import gf_irreducible_p
 
 from ffq import errors, field_new
 from ffq.classical import (
+    BLOCK_MIN,
     brute_factor,
     distinct_degree_parts,
     equal_degree_split_det,
@@ -182,20 +183,22 @@ def test_ladder_steps_by_composition_only_for_large_q(p, m, h, n, composes):
 
 def test_ladder_switches_to_composition_once_cur_shrinks():
     # Over F_101 a power step costs 9 products.  The input has degree 128,
-    # so the ladder powers (2 * isqrt(deg cur) >= 20) until the quartic part
-    # leaves a cur of degree 11 + 13 = 24, and composes from then on
-    # (2 * isqrt(24) = 8): the steps to degrees 5, 6, ..., 11.
+    # at least BLOCK_MIN, so the first block is the isqrt(128) = 11 steps to
+    # degrees 1, ..., 11, all by powering (2 * isqrt(128) = 22).  It removes
+    # the parts of degree 1-4 and leaves the two factors of degree 12, a cur
+    # of degree 24 below BLOCK_MIN.  So the step to degree 12 is a block of
+    # its own, and it composes (2 * isqrt(24) = 8): one composition.
     ctx = field_new(101)
     rng = make_rng(101)
     x = x_poly(ctx)
     linears = [x - Poly.const(ctx, a) for a in range(20)]
-    degrees = [2] * 15 + [3] * 10 + [4] * 6 + [11, 13]
+    degrees = [2] * 15 + [3] * 10 + [4] * 6 + [12, 12]
     polys = linears + distinct_irreducibles(ctx, degrees, rng)
     f = product(ctx, polys)
-    assert f.degree == 128
+    assert f.degree == 128 >= BLOCK_MIN > 24
     before = counters()["modcomp"]
     parts = distinct_degree_parts(f)
-    assert counters()["modcomp"] - before == 7
+    assert counters()["modcomp"] - before == 1
     by_degree = {}
     for g, d in zip(polys, [1] * 20 + degrees):
         by_degree[d] = by_degree.get(d, Poly.one(ctx)) * g

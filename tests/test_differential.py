@@ -21,7 +21,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_factor
 
 from ffq import counters, field_new
-from ffq.classical import distinct_degree_parts, is_irreducible
+from ffq.classical import BLOCK_MIN, distinct_degree_parts, is_irreducible
 from ffq.ddf import ddf
 from ffq.factor import factor
 from ffq.order import OracleConfig, OrderOracle
@@ -112,6 +112,37 @@ def test_ladder_matches_sympy_on_constructed_shapes(p, shape):
     else:
         polys = distinct_irreducibles(ctx, degrees, make_rng(p % 1000 + len(degrees)))
     f = product(ctx, polys)
+    assert ffq_parts(distinct_degree_parts(f)) == sympy_parts(f)
+
+
+# Shapes at the edges of the ladder's blocks, all of degree >= BLOCK_MIN.
+# A block at degree n covers isqrt(n) steps but ends by n / 2.
+# "edges" (degree 75): the first block is steps 1-8 and catches degrees 1 and
+# 8 at its first and last step.  It leaves degree 66, so the second block is
+# steps 9-16 and catches 9 and 16 at its ends.  That leaves degree 41, below
+# BLOCK_MIN, so single steps catch 19 and the degree-22 factor leaves by the
+# 2d > deg cur rule.  "doubling" (degree 81): the first block, steps 1-9,
+# holds degrees e and 2e (2, 4 and 8; 3 and 6) and 3 and 9, with two factors
+# of degree 3, which the refinement must tell apart.  "exit" (degree 68): the first block,
+# steps 1-8, removes everything but one factor of degree 17, and the rule
+# emits it right after the block.  "truncated" (degree 70): blocks of 8 steps
+# reach d = 32, so the next block is cut to steps 33-35 at deg cur / 2 and
+# catches both factors of degree 35.
+BLOCK_SHAPES = {
+    "edges": [1, 8, 9, 16, 19, 22],
+    "doubling": [2, 3, 3, 4, 6, 8, 9, 23, 23],
+    "exit": [1, 2, 3, 4, 5, 6, 7, 7, 8, 8, 17],
+    "truncated": [35, 35],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BLOCK_SHAPES))
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_blocked_ladder_matches_sympy_at_block_edges(p, shape):
+    ctx = field_new(p)
+    degrees = BLOCK_SHAPES[shape]
+    f = product(ctx, distinct_irreducibles(ctx, degrees, make_rng(p + len(degrees))))
+    assert f.degree >= BLOCK_MIN
     assert ffq_parts(distinct_degree_parts(f)) == sympy_parts(f)
 
 

@@ -105,6 +105,26 @@ def test_fermat_identity_all_elements():
             ctx.inv(ctx.zero)
 
 
+def test_euclid_inverse_equals_the_fermat_power():
+    """inv (extended Euclid mod h) against a^(q - 2): every nonzero element of
+    F_4, F_9, F_25 and F_{2^8}, and random elements of F_{(2^31 - 1)^2}."""
+    for ctx in [
+        field_new(2, 2, [1, 1, 1]),
+        field_new(3, 2, [1, 0, 1]),
+        field_new(5, 2, [2, 0, 1]),
+        field_new(2, 8, [1, 1, 0, 1, 1, 0, 0, 0, 1]),
+    ]:
+        for a in ctx.iter_elements():
+            if a != ctx.zero:
+                assert ctx.inv(a) == ctx.pow(a, ctx.q - 2), (ctx.q, a)
+    ctx = field_new((1 << 31) - 1, 2, [1, 0, 1])
+    rng = make_rng(131)
+    elements = [ctx.rand(rng) for _ in range(200)] + [ctx.one, ctx.from_int(5), (0, 1)]
+    for a in elements:
+        if a != ctx.zero:
+            assert ctx.inv(a) == ctx.pow(a, ctx.q - 2), a
+
+
 def test_pth_root_inverts_frobenius():
     for ctx in [field_new(5), field_new(3, 2, [1, 0, 1]), field_new(2, 3, rng=make_rng(109))]:
         for a in ctx.iter_elements():

@@ -8,7 +8,9 @@ shape has a range) and then its coefficients with ``random_monic`` from
 are F_3 at degree 128, F_{2^61-1} at degrees 20 and 40, F_9 at degree 17,
 F_101 at degrees 5-7, and three more extension fields whose packed products
 take different lanes: F_4 at degree 40, F_{2^8} at degree 20 and
-F_{(2^31-1)^2} at degree 20 (byte lanes).  A change that alters any factor,
+F_{(2^31-1)^2} at degree 20 (byte lanes).  F_3 at degree 256 and F_101 at
+degree 128 (32-bit lanes) run the packed reduction context and the blocked
+classical ladder at sizes the benchmark does not reach.  A change that alters any factor,
 or any random draw the oracle or the splitting makes, fails here.
 
 Rewrite the file with ``python tests/test_golden_factor.py`` only when such a
@@ -37,6 +39,8 @@ SHAPES = [
     ("f4-n40", 2, 2, [1, 1, 1], 40, 40, 1, 2),
     ("f256-n20", 2, 8, [1, 1, 0, 1, 1, 0, 0, 0, 1], 20, 20, 1, 2),
     ("fp31sq-n20", (1 << 31) - 1, 2, [1, 0, 1], 20, 20, 1, 2),
+    ("f3-n256", 3, 1, None, 256, 256, 1, 2),
+    ("f101-n128", 101, 1, None, 128, 128, 1, 2),
 ]
 
 

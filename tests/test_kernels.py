@@ -7,7 +7,9 @@ the ``ref_*`` arithmetic of ``helpers``: products in sympy's F_p[x, y], each
 x-coefficient reduced by h with galoistools.  Sizes straddle the schoolbook
 and fast-division thresholds, and the fields reach every lane width the
 Kronecker multiply can pick: 16, 32 and 64-bit numpy lanes and byte lanes
-above 64 bits.
+above 64 bits.  The packed reduction context (products, powers, x^q and
+compositions modulo a fixed monic f) is checked at the same lane edges, on
+both sides of its degree threshold and of ``HORNER_MAX``.
 """
 
 from math import isqrt
@@ -24,6 +26,8 @@ from sympy.polys.galoistools import (
     gf_gcd,
     gf_mul,
     gf_mul_ground,
+    gf_pow_mod,
+    gf_rem,
     gf_sub,
 )
 
@@ -32,14 +36,22 @@ from ffq.poly import (
     _FAST_DIV_EXT_MIN,
     _FAST_DIV_MIN_DIVISOR,
     _FAST_DIV_MIN_QUOTIENT,
+    _MODCTX_MIN,
     HORNER_MAX,
     SCHOOLBOOK_MAX,
     Poly,
+    _modctx,
     _pack_width,
+    counters,
+    frobenius,
     gcd,
     modcomp,
+    mulmod,
+    powmod,
     random_monic,
     random_poly,
+    reset_counters,
+    x_poly,
 )
 from ffq.rng import make_rng
 
@@ -171,6 +183,90 @@ def test_modcomp_packed_blocks_against_galoistools(p):
         g = random_poly(ctx, df - 1, rng)
         want = gf_compose_mod(gf(a), gf(g), gf(f), p, ZZ)
         assert modcomp(a, g, f) == from_gf(ctx, want)
+
+
+# ----------------------------------------------------------------------
+# The packed reduction context: products, powers and compositions mod f.
+# ----------------------------------------------------------------------
+
+
+def check_modular(a: Poly, g: Poly, f: Poly) -> None:
+    """mulmod, powmod, modcomp and x^q mod f against galoistools."""
+    ctx, p = f.ctx, f.ctx.p
+    F = gf(f)
+    tag = (p, f.degree, len(a.coeffs), len(g.coeffs))
+    assert mulmod(a, g, f) == from_gf(ctx, gf_rem(gf_mul(gf(a), gf(g), p, ZZ), F, p, ZZ)), tag
+    for e in (0, 1, 2, 5, p, 3 * p + 1):
+        assert powmod(g, e, f) == from_gf(ctx, gf_pow_mod(gf(g), e, F, p, ZZ)), (tag, e)
+    if len(g.coeffs) < len(f.coeffs):
+        want = gf_compose_mod(gf(a), gf(g), F, p, ZZ)
+        assert modcomp(a, g, f) == from_gf(ctx, want), tag
+    xq = from_gf(ctx, gf_pow_mod([1, 0], p, F, p, ZZ))
+    assert frobenius(f, check=False).image == xq, tag
+
+
+@pytest.mark.parametrize("bits", [16, 32, 64])
+def test_modular_kernels_at_lane_edges_and_the_context_threshold(bits):
+    """Worst-case and random operands at both sides of each lane limit, for
+    moduli of degree _MODCTX_MIN - 1, _MODCTX_MIN and _MODCTX_MIN + 1."""
+    for n in (_MODCTX_MIN - 1, _MODCTX_MIN, _MODCTX_MIN + 1):
+        inside, outside = lane_edge_primes(n, bits)
+        for p in (inside, outside):
+            ctx = field_new(p)
+            wb, dt = _pack_width(n, p)
+            assert (wb == bits // 8) == (p == inside)
+            worst = Poly(ctx, [p - 1] * n)
+            f = Poly(ctx, [p - 1] * n + [1])
+            assert bool(_modctx(f)) == (n >= _MODCTX_MIN and dt is not None)
+            check_modular(worst, worst, f)
+            # isqrt(n * n - 1) = n - 1: Brent-Kung blocks of n worst-case
+            # terms, the most the context's lanes take.  One coefficient
+            # more and the blocks would need n + 1 terms.
+            check_modular(Poly(ctx, [p - 1] * (n * n)), worst, f)
+            check_modular(Poly(ctx, [p - 1] * (n * n + 1)), worst, f)
+            rng = make_rng(p % 1000 + n)
+            g = random_monic(ctx, n, rng)
+            check_modular(random_poly(ctx, n - 1, rng), random_poly(ctx, n - 1, rng), g)
+            # Operands that are not reduced mod f.
+            check_modular(random_poly(ctx, 2 * n, rng), random_poly(ctx, n + 3, rng), g)
+
+
+@pytest.mark.parametrize("p", [3, 101, 65537])
+def test_modcomp_in_the_context_around_horner_max_and_short_inputs(p):
+    ctx = field_new(p)
+    rng = make_rng(p % 1000 + 12)
+    for n in (_MODCTX_MIN, 40):
+        f = random_monic(ctx, n, rng)
+        assert _modctx(f)
+        g = random_poly(ctx, n - 1, rng)
+        for la in (HORNER_MAX - 1, HORNER_MAX, HORNER_MAX + 1, 26, n):
+            check_modular(random_poly(ctx, la - 1, rng), g, f)
+        for a in (Poly.zero(ctx), Poly.const(ctx, 5), random_poly(ctx, 1, rng),
+                  random_poly(ctx, 3, rng)):
+            for inner in (Poly.zero(ctx), Poly.const(ctx, 7), x_poly(ctx), g):
+                check_modular(a, inner, f)
+                check_modular(random_poly(ctx, 30, rng), inner, f)
+        # More than n^2 coefficients: a block would sum more than the n terms
+        # the context's lanes are sized for, so modcomp leaves the context.
+        check_modular(random_poly(ctx, n * n, rng), g, f)
+
+
+def test_context_counts_one_product_per_modular_product():
+    ctx = field_new(3)
+    rng = make_rng(13)
+    f = random_monic(ctx, 32, rng)
+    assert _modctx(f)
+    a, g = random_poly(ctx, 31, rng), random_poly(ctx, 31, rng)
+    reset_counters()
+    mulmod(a, g, f)
+    assert counters() == {"mul": 1, "modcomp": 0}
+    reset_counters()
+    powmod(g, 0b1011, f)  # three squarings and two more products
+    assert counters() == {"mul": 5, "modcomp": 0}
+    reset_counters()
+    modcomp(a, g, f)  # 32 coefficients, t = 6: 5 baby steps, 5 giant steps
+    assert counters() == {"mul": 10, "modcomp": 1}
+    reset_counters()
 
 
 @settings(max_examples=60, deadline=None)
