@@ -33,7 +33,6 @@ from .fields import field_new
 from .order import (
     BACKEND_EXACT,
     BACKEND_SIM,
-    MODE_AUTO,
     MODE_EXACT_DIST,
     MODE_IDEALIZED,
     OracleConfig,
@@ -400,9 +399,10 @@ def _add_oracle_args(p: _Parser) -> None:
     )
     p.add_argument(
         "--mode",
-        choices=[MODE_EXACT_DIST, MODE_IDEALIZED, MODE_AUTO],
-        default=MODE_AUTO,
-        help="measurement sampling mode",
+        choices=[MODE_EXACT_DIST, MODE_IDEALIZED],
+        default=MODE_EXACT_DIST,
+        help="measurement sampling: the exact outcome distribution at every "
+        "precision (default), or idealized rounding to the nearest peak",
     )
     p.add_argument("--max-attempts", type=int, default=4, help="estimation attempts")
 

@@ -15,7 +15,8 @@ The gcds use the cofactor powers the oracle computed when it verified d.
 
 When an order estimate fails (order above 2^ell), the fallback strips all
 factors of small degree by a classical ladder, which provably shrinks the
-remaining order enough for a retried estimate with a larger ell.
+remaining order enough for estimates with a larger ell; those repeat with
+fresh draws until one succeeds, up to a fixed cap.
 
 Every run is audited: the emitted parts must multiply back to the input.
 An optional trace (one dict per processed item) records the shape of the
@@ -46,6 +47,7 @@ __all__ = [
     "default_ell",
     "fallback_ell",
     "fallback_degree_bound",
+    "FALLBACK_ESTIMATES",
 ]
 
 # ----------------------------------------------------------------------
@@ -241,6 +243,10 @@ def default_ell(n: int) -> int:
     return max(math.ceil(lg * lg) + 1, math.ceil(lg) + 1)
 
 
+# Estimates with fresh draws after the strip before the fallback gives up.
+FALLBACK_ESTIMATES = 8
+
+
 def order_with_fallback(
     f: Poly,
     s_endo: Endo,
@@ -258,8 +264,10 @@ def order_with_fallback(
     A first estimate at precision ``ell`` usually succeeds.  If not, every
     factor of degree <= B (smallest B with B^3 >= (deg f)^2) is peeled off
     classically; the surviving order divides lcm(B+1..n) which fits in the
-    enlarged precision of the second estimate.  A second failure raises
-    OracleExhausted.
+    enlarged precision of the later estimates.  Each of those succeeds with
+    probability bounded away from 0, so they repeat with fresh draws until
+    one does; after FALLBACK_ESTIMATES failures, which only an oracle that
+    cannot answer reaches, it raises OracleExhausted.
     """
     est = oracle.estimate(
         s_endo, ell, rng, true_order=hint_fn(f, s) if hint_fn else None
@@ -273,14 +281,15 @@ def order_with_fallback(
     s2 = s_endo.restrict(f2)
     if s2.is_identity():
         return parts, f2, s2, 1, None, True
-    est2 = oracle.estimate(
-        s2, fallback_ell(n0), rng, true_order=hint_fn(f2, s) if hint_fn else None
+    hint2 = hint_fn(f2, s) if hint_fn else None
+    for _ in range(FALLBACK_ESTIMATES):
+        est2 = oracle.estimate(s2, fallback_ell(n0), rng, true_order=hint2)
+        if est2.found:
+            return parts, f2, s2, est2.order, est2.powers, True
+    raise errors.OracleExhausted(
+        f"order estimation failed {FALLBACK_ESTIMATES} times after the strip"
+        f" (degree {n0}, stride {s})"
     )
-    if not est2.found:
-        raise errors.OracleExhausted(
-            f"order estimation failed twice (degree {n0}, stride {s})"
-        )
-    return parts, f2, s2, est2.order, est2.powers, True
 
 
 # ----------------------------------------------------------------------

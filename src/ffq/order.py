@@ -3,8 +3,11 @@
 The quantum phase-measurement subroutine is realized as a faithful classical
 simulation: given the true order r of the endomorphism, a measurement outcome
 k in [0, N) with N = 2^(2*ell+1) is drawn either from the exact closed-form
-outcome distribution (``exact-dist``) or from the idealized model where a
-uniform j in [0, r) yields k = round(j*N/r) (``idealized``).  Classical
+outcome distribution (``exact-dist``, the default) or from the idealized model
+where a uniform j in [0, r) yields k = round(j*N/r) (``idealized``).  The
+exact draw is a rejection sampler that needs no table, so it runs at every
+precision; ``measurement_distribution`` tabulates the same distribution for
+small N and serves as its reference.  Classical
 post-processing (continued-fraction reconstruction, candidate assembly,
 verification and minimization on cofactor powers) is shared by both and by
 the ``exact`` reference backend.  A found estimate carries the cofactor
@@ -20,7 +23,6 @@ only viable for small orders.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,12 +47,11 @@ __all__ = [
     "factor_int",
 ]
 
-MAX_EXACT_N = 1 << 20  # largest N for which the exact distribution is tabulated
+MAX_EXACT_N = 1 << 20  # largest N that measurement_distribution tabulates
 DEFAULT_ORDER_CAP = 1 << 16  # iterated-composition budget when no hint is given
 
 MODE_EXACT_DIST = "exact-dist"
 MODE_IDEALIZED = "idealized"
-MODE_AUTO = "auto"
 
 BACKEND_SIM = "quantum-sim"
 BACKEND_EXACT = "exact"
@@ -103,7 +104,7 @@ class OrderEstimate:
 @dataclass
 class OracleConfig:
     backend: str = BACKEND_SIM
-    mode: str = MODE_AUTO
+    mode: str = MODE_EXACT_DIST
     max_attempts: int = 4
     seed: int | None = None
     order_cap: int = DEFAULT_ORDER_CAP
@@ -156,21 +157,9 @@ def measurement_distribution(r: int, pp: PhaseParams) -> np.ndarray:
     return probs / (float(N) * float(N))
 
 
-_cdf_cache: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-_CDF_CACHE_MAX = 8
-
-
-def _cdf_for(r: int, pp: PhaseParams) -> np.ndarray:
-    key = (r, pp.ell)
-    hit = _cdf_cache.get(key)
-    if hit is not None:
-        _cdf_cache.move_to_end(key)
-        return hit
-    cdf = np.cumsum(measurement_distribution(r, pp))
-    _cdf_cache[key] = cdf
-    if len(_cdf_cache) > _CDF_CACHE_MAX:
-        _cdf_cache.popitem(last=False)
-    return cdf
+# Empty: sampling builds no tables.  Kept only because the benchmark's span
+# recorder (perfbench/spans.py MEMO_TABLES) saves and restores it by name.
+_cdf_cache: dict = {}
 
 
 def _round_half_even(num: int, den: int) -> int:
@@ -182,15 +171,80 @@ def _round_half_even(num: int, den: int) -> int:
     return q
 
 
+_WORD = 1 << 64
+_ULP = 1.0 / (1 << 53)
+
+
+def _sample_exact(r: int, N: int, rng) -> int:
+    """One outcome of the exact distribution, by rejection sampling.
+
+    Pick the block size M as ``measurement_distribution`` weighs it: q0 + 1
+    with probability rho*(q0 + 1)/N, else q0.  Given M, Pr(k | M) is
+    |S_M(theta_k)|^2 / (N*M).  Each k in [0, N) is base_j + delta for exactly
+    one peak j in [0, r), base_j = round(j*N/r), with t = k*r - j*N in
+    [-N/2, N/2) on the unwrapped line; theta_k = t mod N.  A proposal draws j
+    uniformly and delta from an envelope that bounds |S_M|^2 at every (j,
+    delta): M^2 for |delta| <= 1, and A^2*(1/(d-1) - 1/d) for |delta| = d >= 2
+    with A = N/(2r), since |t| >= r*(d - 1/2) there and so |S_M|^2 <=
+    1/sin^2(pi*t/N) <= A^2/(d - 1/2)^2 <= A^2/(d(d - 1)).  The tail draws
+    d = floor(1/U) + 1 with U uniform in (0, 1].  A proposal
+    outside its peak's cell is rejected, and one inside is accepted with
+    probability |S_M|^2 / envelope, so accepted k follow Pr(k | M) exactly, up
+    to the 53-bit grid of the uniforms (64-bit for d) and float rounding of
+    the sines.  About 3.5 proposals are drawn per outcome.
+    """
+    q0, rho = divmod(N, r)
+    M = q0 + 1 if rand_below(rng, N) < rho * (q0 + 1) else q0
+    if M == 1:
+        return rand_below(rng, N)  # |S_1|^2 = 1: every outcome equally likely
+    M2 = float(M) * float(M)
+    A2 = (N / (2 * r)) ** 2
+    center = 3.0 * M2
+    total = center + 2.0 * A2
+    # j = w % r is uniform over words w below the largest multiple of r.
+    span = _WORD - _WORD % r if r < _WORD else 0
+    raw = rng.bit_generator.random_raw
+    while True:
+        words = raw(16).tolist()  # four proposals' worth
+        for i in range(0, 16, 4):
+            w_j, w_v, w_d, w_a = words[i:i + 4]
+            if span:
+                if w_j >= span:
+                    continue
+                j = w_j % r
+            else:
+                j = rand_below(rng, r)
+            v = (w_v >> 11) * _ULP * total
+            if v < center:
+                delta = min(int(v / M2), 2) - 1
+                env = M2
+            else:
+                d = _WORD // (_WORD - w_d) + 1
+                delta = d if v < center + A2 else -d
+                env = A2 / (d * (d - 1))
+            jN = j * N
+            k = _round_half_even(jN, r) + delta
+            t = k * r - jN
+            if not -N <= 2 * t < N:
+                continue
+            # Reduce theta and theta*M mod N in integers, folded to [0, N/2]
+            # where sin^2 is well conditioned, before any float.
+            t = abs(t)
+            if t:
+                num = t * M % N
+                g = (math.sin(math.pi * min(num, N - num) / N) / math.sin(math.pi * t / N)) ** 2
+            else:
+                g = M2
+            if (w_a >> 11) * _ULP * env < g:
+                return k % N
+
+
 def sample_measurement(r: int, pp: PhaseParams, mode: str, rng) -> int:
     """Draw one outcome k for true order r."""
     if r < 1:
         raise errors.BadInput("order must be >= 1")
     if mode == MODE_EXACT_DIST:
-        cdf = _cdf_for(r, pp)
-        u = rng.random()
-        k = int(np.searchsorted(cdf, u, side="right"))
-        return min(k, pp.N - 1)
+        return _sample_exact(r, pp.N, rng)
     if mode == MODE_IDEALIZED:
         j = rand_below(rng, r)
         return _round_half_even(j * pp.N, r) % pp.N
@@ -329,16 +383,13 @@ def estimate_order(
     if r_true is None:
         r_true = exact_order(s, cap=cfg.order_cap)
     pp = PhaseParams(ell)
-    mode = cfg.mode
-    if mode == MODE_AUTO:
-        mode = MODE_EXACT_DIST if pp.N <= MAX_EXACT_N else MODE_IDEALIZED
 
     transcript: list[RunRecord] = []
     rejected: list[int] = []
     for attempt in range(1, cfg.max_attempts + 1):
         runs = []
         for _ in range(2):
-            k = sample_measurement(r_true, pp, mode, rng)
+            k = sample_measurement(r_true, pp, cfg.mode, rng)
             j, r_cand = rational_reconstruct(k, pp.N, bound)
             runs.append((k, j, r_cand))
         cands = {rc for (_, _, rc) in runs if 1 <= rc <= bound}

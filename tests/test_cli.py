@@ -143,11 +143,14 @@ def test_poly_file_input(tmp_path, capsys):
 
 def test_oracle_flags_accepted(capsys):
     for backend in ["quantum-sim", "exact"]:
-        for mode in ["auto", "exact-dist", "idealized"]:
+        for mode in ["exact-dist", "idealized"]:
             rc = main(["ddf", "--p", "3", "--poly", "x^4+x+2", "--seed", "8",
                        "--oracle", backend, "--mode", mode])
             assert rc == 0
             capsys.readouterr()
+    # The precision-dependent auto mode is gone.
+    assert main(["ddf", "--p", "3", "--poly", "x^4+x+2", "--seed", "8",
+                 "--mode", "auto"]) == 1
 
 
 def test_stats_factor_count_degree_one(capsys):

@@ -186,6 +186,30 @@ def test_order_with_fallback_raises_when_oracle_cannot_answer():
         order_with_fallback(f, frobenius(f), 1, 1, DeafOracle(), rng)
 
 
+def test_fallback_estimates_again_until_one_succeeds():
+    # The first estimate fails, and so do the first two after the strip; the
+    # third after the strip is a real one.  Factor degrees 2, 8 and 30.
+    class ScriptedOracle(OrderOracle):
+        def __init__(self):
+            super().__init__(OracleConfig())
+            self.calls = 0
+
+        def estimate(self, s, ell, rng, true_order=None):
+            self.calls += 1
+            if self.calls <= 3:
+                return OrderEstimate(None, 4)
+            return super().estimate(s, ell, rng, true_order)
+
+    rng = make_rng(4038)
+    f = random_squarefree(F3, 40, rng)
+    oracle = ScriptedOracle()
+    trace = []
+    res = ddf(f, oracle, rng, trace=trace)
+    assert res.parts == distinct_degree_parts(f)
+    assert [d for _, d in res.parts] == [2, 8, 30]
+    assert trace[0]["fallback"] and oracle.calls >= 4
+
+
 def test_ddf_matches_classical_on_random_inputs():
     for ctx, count, max_n in [(F2, 25, 24), (F3, 25, 20), (F5, 15, 16), (F9, 10, 12)]:
         for i in range(count):

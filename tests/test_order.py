@@ -137,12 +137,136 @@ def test_exact_dist_sampler_tracks_distribution():
     assert tv < 0.05
 
 
-def test_exact_dist_sampler_size_guard():
-    rng = make_rng(1)
+def test_exact_dist_samples_past_the_table_limit():
+    # N = 2^21 is above what measurement_distribution tabulates; the
+    # rejection sampler needs no table.
+    pp = PhaseParams(10)
     with pytest.raises(errors.TooLarge):
-        sample_measurement(3, PhaseParams(10), MODE_EXACT_DIST, rng)
-    k = sample_measurement(3, PhaseParams(10), MODE_IDEALIZED, rng)
-    assert 0 <= k < 1 << 21
+        measurement_distribution(3, pp)
+    rng = make_rng(1)
+    ks = [sample_measurement(3, pp, MODE_EXACT_DIST, rng) for _ in range(200)]
+    assert all(0 <= k < pp.N for k in ks)
+    assert {rational_reconstruct(k, pp.N, 1 << pp.ell)[1] for k in ks} <= {1, 3}
+    with pytest.raises(errors.BadInput):
+        sample_measurement(3, pp, "auto", rng)
+
+
+# The sampler gate: for every r <= 64, at the smallest ell with N >= 2r^2
+# (ell <= 6), 10^5 draws against the tabulated distribution.
+GATE_DRAWS = 100_000
+
+
+def _gate_ell(r):
+    ell = 1
+    while (1 << (2 * ell + 1)) < 2 * r * r:
+        ell += 1
+    return ell
+
+
+@pytest.fixture(scope="module")
+def gate_histograms():
+    out = {}
+    for r in range(1, 65):
+        pp = PhaseParams(_gate_ell(r))
+        rng = trial_rng(8675309, r)
+        ks = [sample_measurement(r, pp, MODE_EXACT_DIST, rng) for _ in range(GATE_DRAWS)]
+        out[r] = (pp, np.bincount(ks, minlength=pp.N), measurement_distribution(r, pp))
+    return out
+
+
+def _peak_offset(r, N):
+    """delta(k) = k - round(j*N/r) for the peak j whose cell holds k."""
+    k = np.arange(N, dtype=np.int64)
+    j = (2 * k * r + N) // (2 * N)
+    q, rem = np.divmod(j * N, r)
+    q += (2 * rem > r) | ((2 * rem == r) & (q % 2 == 1))
+    return k - q
+
+
+def test_exact_dist_sampler_total_variation(gate_histograms):
+    # Total variation over the offset of k from its peak, which is what the
+    # continued fractions read, stays within test_03's cap of 0.02 for every
+    # r.  Over the raw k bins, 10^5 exact draws leave a TV of 0.02-0.03 for
+    # r > 32 (N = 8192 bins) from sampling noise alone, so the bins
+    # themselves are gated by the chi-square test below.
+    for r, (pp, hist, dist) in gate_histograms.items():
+        off = _peak_offset(r, pp.N)
+        off -= off.min()
+        got = np.bincount(off, weights=hist) / GATE_DRAWS
+        want = np.bincount(off, weights=dist)
+        tv = 0.5 * float(np.abs(got - want).sum())
+        assert tv <= 0.02, (r, tv)
+
+
+def _chi_square_z(hist, dist):
+    """Pearson's statistic over the bins of ``hist`` as a standard normal z.
+
+    Bins with under 5 expected draws are pooled into one, and the statistic
+    is mapped by the Wilson-Hilferty approximation; None when one bin holds
+    all the mass.
+    """
+    expected = hist.sum() * dist
+    big = expected >= 5
+    obs = np.append(hist[big], hist[~big].sum())
+    exp = np.append(expected[big], expected[~big].sum())
+    if exp[-1] < 5:
+        obs, exp = obs[:-1], exp[:-1]
+    df = len(obs) - 1
+    if df == 0:
+        return None
+    x2 = float(((obs - exp) ** 2 / exp).sum())
+    c = 2.0 / (9 * df)
+    return ((x2 / df) ** (1 / 3) - (1 - c)) / math.sqrt(c)
+
+
+def test_exact_dist_sampler_chi_square(gate_histograms):
+    for r, (pp, hist, dist) in gate_histograms.items():
+        z = _chi_square_z(hist, dist)
+        if z is None:
+            assert r == 1 and hist[0] == GATE_DRAWS
+            continue
+        assert z < 4.0, (r, z)
+
+
+def test_exact_dist_sampler_chi_square_for_orders_near_n():
+    # Orders at and above N/2 leave blocks of one or two points (M <= 2),
+    # where peaks share outcomes; r >= N makes the distribution uniform.
+    for ell, orders in [(1, [3, 5, 6, 7, 8, 9, 30]), (2, [11, 17, 31, 32, 33, 100]),
+                        (3, [40, 65, 127])]:
+        pp = PhaseParams(ell)
+        for r in orders:
+            rng = trial_rng(11, r)
+            ks = [sample_measurement(r, pp, MODE_EXACT_DIST, rng) for _ in range(20_000)]
+            z = _chi_square_z(np.bincount(ks, minlength=pp.N), measurement_distribution(r, pp))
+            assert z < 4.0, (ell, r, z)
+
+
+@pytest.mark.parametrize("ell", [12, 16])
+def test_exact_dist_near_multiple_mass_without_a_table(ell):
+    # Outcomes k with k*r within r/2 of a multiple of N carry at least 4/pi^2
+    # of the mass (test_03 checks the table up to ell = 9).
+    pp = PhaseParams(ell)
+    rng = make_rng(31337 + ell)
+    draws = 2000
+    for r in [3, 7, 31, 64, 100, 1000]:
+        near = 0
+        for _ in range(draws):
+            theta = sample_measurement(r, pp, MODE_EXACT_DIST, rng) * r % pp.N
+            near += min(theta, pp.N - theta) * 2 <= r
+        assert near / draws >= 4 / math.pi**2, (ell, r, near / draws)
+
+
+def test_exact_dist_reconstructs_divisors_at_101_bits():
+    pp = PhaseParams(50)  # N = 2^101
+    r = 10**6
+    rng = make_rng(2718)
+    got = []
+    for _ in range(40):
+        k = sample_measurement(r, pp, MODE_EXACT_DIST, rng)
+        _, rc = rational_reconstruct(k, pp.N, 1 << pp.ell)
+        assert r % rc == 0, (k, rc)
+        got.append(rc)
+    assert math.lcm(*got) == r
 
 
 def test_reconstruct_fixed_examples():
