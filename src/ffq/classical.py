@@ -3,16 +3,15 @@
 Everything here avoids the order oracle on purpose: it is the independent
 route used to cross-check the engine (and, internally, to seed the
 measurement simulation with true orders).  Its uses of modular
-composition, the large-q steps of ``distinct_degree_parts`` and
-``is_irreducible``, are checked against sympy in ``tests/test_kernels.py``,
+composition, the large-q steps of ``ladder`` and ``is_irreducible``, are
+checked against sympy in ``tests/test_kernels.py``,
 ``tests/test_differential.py`` and ``tests/test_classical.py``.  The pieces
 are
 
-* ``distinct_degree_parts``: distinct-degree splitting; the ladder steps
-  w -> w^q by powering or by composition with x^q, whichever costs fewer
-  products for q and the current degree, and from degree ``BLOCK_MIN`` on
-  it shares one gcd among a block of isqrt(deg) steps (interval partition);
-* ``is_irreducible``: Rabin's criterion on the same ladder;
+* ``ladder``: distinct-degree splitting with a stride and a degree bound,
+  blocked by interval partition; ``distinct_degree_parts`` runs it with
+  stride 1 and no bound, the engine's fallback strip with its own;
+* ``is_irreducible``: Rabin's criterion, on a loop of its own;
 * ``irreducibles``: exhaustive sieve enumeration of monic irreducibles for
   tiny q^d, cached per field;
 * ``split_probe``: one equal-degree splitting attempt, shared by
@@ -32,8 +31,10 @@ from .fields import FieldCtx, factor_int
 from .poly import Poly, frobenius, gcd, modcomp, mulmod, poly_pth_root, powmod, x_poly
 
 __all__ = [
+    "ladder",
     "distinct_degree_parts",
     "splitting_degree",
+    "order_from_degrees",
     "is_irreducible",
     "irreducibles",
     "equal_degree_split_det",
@@ -47,72 +48,77 @@ __all__ = [
 BRUTE_MAX_DEGREE = 24
 BRUTE_MAX_Q = 1 << 20
 ENUM_LIMIT = 4096  # enumerate monic irreducibles of degree d only if q^d <= this
-# distinct_degree_parts steps in blocks of isqrt(deg cur) from this degree of
-# cur on, and one step at a time below it.  Timed over F_2, F_3, F_9, F_101
+# The ladder steps in blocks of isqrt(deg cur) from this degree of cur on,
+# and one step at a time below it.  Timed over F_2, F_3, F_9, F_101
 # and F_{2^61-1}, blocking wins in every field from degree 64 on and loses
 # over F_{2^61-1} at degrees 20-40.
 BLOCK_MIN = 64
 
 
-def distinct_degree_parts(f: Poly, xq: Poly | None = None) -> list[tuple[Poly, int]]:
-    """Split monic squarefree f into (product of degree-d irreducibles, d).
+def _composes(Q: int, n: int) -> bool:
+    """Whether w(x^Q) mod a degree-n modulus, about 2*sqrt(n) products
+    (Brent-Kung), beats w^Q, bit_length(Q) + popcount(Q) - 2 products."""
+    return Q.bit_length() + bin(Q).count("1") - 2 > 2 * math.isqrt(n)
 
-    Ladder: w_d = x^(q^d) mod cur, where cur is f with the parts of degree
-    below the current block removed; gcd(w_d - x, cur) is the degree-d part.
-    ``xq`` is x^q mod f when the caller already has it; otherwise
-    ``frobenius`` computes it.  Each step w -> w^q either powers, costing
-    bit_length(q) + popcount(q) - 2 products, or composes w(x^q), costing
-    about 2*sqrt(deg cur) products (Brent-Kung); it takes the cheaper one.
 
-    Interval partition (von zur Gathen-Shoup): once deg cur reaches
-    ``BLOCK_MIN``, the steps go in blocks of isqrt(deg cur).  A block
-    multiplies its (w_d - x) mod cur and takes one gcd G with cur; only a
+def ladder(f: Poly, step: Poly, s: int, bound: int) -> tuple[list[tuple[Poly, int]], Poly]:
+    """Split off the parts of degree <= bound of monic squarefree f.
+
+    Every factor of f has degree a multiple of s, and ``step`` is x^(q^s)
+    mod f.  Steps d = s, 2s, ... keep w = x^(q^d) mod cur, cur being f less
+    the parts of degree below d, and gcd(w - x, cur) is the degree-d part.
+    A step w -> w^(q^s) powers or composes w(step), as ``_composes`` prices
+    it.  Once 2(d + s) > deg cur, cur is irreducible; it is a part if its
+    degree is <= bound.
+
+    Interval partition (von zur Gathen-Shoup): from deg cur ``BLOCK_MIN``
+    on, a block of up to isqrt(deg cur) steps, never past the bound, takes
+    one gcd G of cur with the product of its (w_d - x) mod cur.  Only a
     nontrivial G is refined, by gcd(w_d - x, G) per step in ascending d, so
     a factor of degree e is caught at d = e and not at a multiple of e.
-    Below ``BLOCK_MIN`` a block is one step, the textbook ladder.
+
+    Returns (parts ascending in d, remainder with every factor degree above
+    the bound).
     """
-    if not f.is_monic():
-        raise errors.BadInput("input must be monic")
-    der = f.deriv()
-    if der.is_zero() or gcd(f, der).degree > 0:
-        raise errors.NotSquarefree("input must be squarefree")
-    if xq is None:
-        xq = frobenius(f, check=False).image
-    q = f.ctx.q
-    power_cost = q.bit_length() + bin(q).count("1") - 2
+    Q = f.ctx.q**s
     x = x_poly(f.ctx)
     parts: list[tuple[Poly, int]] = []
     cur = f
-    w = xq
+    w = step
     d = 0  # every factor of degree <= d has left cur
     while cur.degree > 0:
         n = cur.degree
-        if 2 * (d + 1) > n:
-            parts.append((cur, n))
+        if 2 * (d + s) > n:
+            if n <= bound:
+                parts.append((cur, n))
+                cur = Poly.one(f.ctx)
             break
-        # A block ends by deg cur / 2: once every factor of degree <= n / 2
-        # has left, what remains is irreducible and the exit above takes it.
-        size = min(math.isqrt(n), n // 2 - d) if n >= BLOCK_MIN else 1
+        if d + s > bound:
+            break
+        # A block ends by the bound and by deg cur / 2: once every factor of
+        # degree <= n / 2 has left, the rest is irreducible (the exit above).
+        size = min(math.isqrt(n), (min(n // 2, bound) - d) // s) if n >= BLOCK_MIN else 1
+        compose = _composes(Q, n)
         xc = x % cur
         steps = []
         prod = None
-        for i in range(d + 1, d + size + 1):
-            if i > 1:
-                if power_cost > 2 * math.isqrt(n):
-                    # xq reduced mod a multiple of cur is already reduced mod
-                    # cur once its degree is below deg cur.
-                    if xq.degree >= n:
-                        xq = xq % cur
-                    w = modcomp(w, xq, cur)
+        for i in range(d + s, d + size * s + 1, s):
+            if i > s:
+                if compose:
+                    # step reduced mod a multiple of cur is already reduced
+                    # mod cur once its degree is below deg cur.
+                    if step.degree >= n:
+                        step = step % cur
+                    w = modcomp(w, step, cur)
                 else:
-                    w = powmod(w, q, cur)
+                    w = powmod(w, Q, cur)
             t = w - xc
             steps.append((t, i))
             prod = t if prod is None else mulmod(prod, t, cur)
         g = gcd(prod, cur)
         if g.degree > 0:
             if size == 1:
-                parts.append((g, d + 1))
+                parts.append((g, d + s))
             else:
                 rest = g
                 for t, i in steps:
@@ -126,8 +132,24 @@ def distinct_degree_parts(f: Poly, xq: Poly | None = None) -> list[tuple[Poly, i
             if cur.degree == 0:
                 break
             w = w % cur
-        d += size
-    return parts
+        d += size * s
+    return parts, cur
+
+
+def distinct_degree_parts(f: Poly, xq: Poly | None = None) -> list[tuple[Poly, int]]:
+    """Split monic squarefree f into (product of degree-d irreducibles, d).
+
+    The ``ladder`` with stride 1 and no bound.  ``xq`` is x^q mod f when the
+    caller already has it; otherwise ``frobenius`` computes it.
+    """
+    if not f.is_monic():
+        raise errors.BadInput("input must be monic")
+    der = f.deriv()
+    if der.is_zero() or gcd(f, der).degree > 0:
+        raise errors.NotSquarefree("input must be squarefree")
+    if xq is None:
+        xq = frobenius(f, check=False).image
+    return ladder(f, xq, 1, f.degree)[0]
 
 
 def splitting_degree(f: Poly) -> int:
@@ -135,13 +157,17 @@ def splitting_degree(f: Poly) -> int:
     return math.lcm(*[d for (_, d) in distinct_degree_parts(f)])
 
 
+def order_from_degrees(degrees, s: int) -> int:
+    """Order of sigma^s mod squarefree f, from its factor degrees D."""
+    return math.lcm(*[d // math.gcd(s, d) for d in degrees])
+
+
 def is_irreducible(f: Poly) -> bool:
     """Rabin's irreducibility criterion for monic f of degree >= 1.
 
     w runs through x^(q^i) mod f.  x^q mod f comes from ``powmod``, not from
-    ``frobenius``, so the test shares no step with the engine's Frobenius.
-    Each later step powers w by q or composes w(x^q), by the same cost rule
-    as ``distinct_degree_parts``.
+    ``frobenius``, and the loop is not the ``ladder``, so the test shares no
+    step with either.  Each later step powers or composes, by ``_composes``.
     """
     if not f.is_monic() or len(f.coeffs) < 2:
         raise errors.BadInput("input must be monic of degree >= 1")
@@ -151,7 +177,7 @@ def is_irreducible(f: Poly) -> bool:
     q = f.ctx.q
     x = x_poly(f.ctx)
     checks = {n // t for t in factor_int(n)}
-    compose = q.bit_length() + bin(q).count("1") - 2 > 2 * math.isqrt(n)
+    compose = _composes(q, n)
     xq = powmod(x, q, f)
     w = xq
     for i in range(1, n + 1):

@@ -26,7 +26,14 @@ import sys
 import time
 
 from . import errors
-from .classical import brute_factor, distinct_degree_parts, splitting_degree
+from .classical import (
+    BRUTE_MAX_DEGREE,
+    BRUTE_MAX_Q,
+    brute_factor,
+    distinct_degree_parts,
+    order_from_degrees,
+    splitting_degree,
+)
 from .ddf import ddf, default_ell, recursion_audit
 from .factor import factor, sff
 from .fields import field_new
@@ -215,8 +222,7 @@ def cmd_order(args) -> int:
     ell = args.ell if args.ell is not None else default_ell(max(f.degree, 2))
     # The simulation needs the true order; derive it classically from the
     # factor degrees of the modulus.
-    degs = [d for (_, d) in distinct_degree_parts(f)]
-    true_order = math.lcm(*[d // math.gcd(args.power, d) for d in degs])
+    true_order = order_from_degrees([d for (_, d) in distinct_degree_parts(f)], args.power)
     cfg = OracleConfig(backend=args.oracle, mode=args.mode, max_attempts=args.max_attempts)
     est = estimate_order(endo, ell, cfg, rng, true_order=true_order)
     if args.json:
@@ -252,7 +258,7 @@ def cmd_order(args) -> int:
 
 
 def _count_factors(f, with_multiplicity: bool, oracle, rng) -> int:
-    if f.degree <= 24 and f.ctx.q <= (1 << 20):
+    if f.degree <= BRUTE_MAX_DEGREE and f.ctx.q <= BRUTE_MAX_Q:
         _, fac = brute_factor(f)
         if with_multiplicity:
             return sum(m for (_, m) in fac)

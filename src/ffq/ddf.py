@@ -14,9 +14,10 @@ inherits its parent's sigma^s restricted to its modulus, to the k-th power.
 The gcds use the cofactor powers the oracle computed when it verified d.
 
 When an order estimate fails (order above 2^ell), the fallback strips all
-factors of small degree by a classical ladder, which provably shrinks the
-remaining order enough for estimates with a larger ell; those repeat with
-fresh draws until one succeeds, up to a fixed cap.
+factors of small degree on the classical ladder (``classical.ladder`` with
+the item's stride and the bound), which provably shrinks the remaining order
+enough for estimates with a larger ell; those repeat with fresh draws until
+one succeeds, up to a fixed cap.
 
 Every run is audited: the emitted parts must multiply back to the input.
 An optional trace (one dict per processed item) records the shape of the
@@ -30,9 +31,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import errors
-from .classical import distinct_degree_parts
+from .classical import distinct_degree_parts, ladder, order_from_degrees
 from .order import OracleConfig, OrderOracle, cofactor_powers
-from .poly import Endo, Poly, frobenius, frobenius_power_sequence, gcd, modcomp, x_poly
+from .poly import Endo, Poly, frobenius, frobenius_power_sequence, gcd, x_poly
 from .rng import make_rng
 
 __all__ = [
@@ -168,7 +169,7 @@ def smooth_factor(d: int, n: int, method: str = "auto") -> SmoothFactorization:
 
 
 # ----------------------------------------------------------------------
-# Small-degree stripping (the fallback's classical ladder).
+# Small-degree stripping (the fallback's strip, on the classical ladder).
 # ----------------------------------------------------------------------
 
 
@@ -177,44 +178,17 @@ def extract_small_degrees(
 ) -> tuple[list[tuple[Poly, int]], Poly]:
     """Remove all irreducible factors of degree <= bound from f.
 
-    Factor degrees are multiples of s (queue invariant), so the ladder steps
-    through i = s, 2s, ... <= bound, peeling gcd(x^(q^i) - x, f) at each
-    step.  Returns ([(part, degree)], remainder); parts are products of
-    same-degree irreducibles, and the remainder has all factor degrees above
-    the bound.
+    Factor degrees are multiples of s (queue invariant), so the classical
+    ``ladder`` runs with stride s, stepping by sigma^s (``s_endo``, computed
+    when not given).  Returns ([(part, degree)], remainder); parts are
+    products of same-degree irreducibles, and the remainder has all factor
+    degrees above the bound.
     """
     if s < 1 or bound < 0:
         raise errors.BadInput("need s >= 1 and bound >= 0")
-    ctx = f.ctx
-    x = x_poly(ctx)
     if s_endo is None:
         s_endo = frobenius(f, check=False).pow(s)
-    cur = f
-    sig = s_endo.image
-    w = sig
-    parts: list[tuple[Poly, int]] = []
-    i = s
-    while i <= bound and cur.degree > 0:
-        g = gcd(w - x, cur)
-        if g.degree > 0:
-            parts.append((g, i))
-            cur = cur // g
-            if cur.degree == 0:
-                break
-            w = w % cur
-            sig = sig % cur
-        if 0 < cur.degree < 2 * (i + s):
-            # At most one factor can remain: degrees are multiples of s
-            # strictly above i, so two of them would need 2(i+s) together.
-            if cur.degree <= bound:
-                parts.append((cur, cur.degree))
-                cur = Poly.one(ctx)
-            break
-        i += s
-        if i > bound:
-            break
-        w = modcomp(w, sig, cur)
-    return parts, cur
+    return ladder(f, s_endo.image, s, bound)
 
 
 # ----------------------------------------------------------------------
@@ -322,11 +296,8 @@ def _shadow_hint_fn(f_top: Poly, xq: Poly):
         nonlocal shadow
         if shadow is None:
             shadow = distinct_degree_parts(f_top, xq)
-        present = []
-        for part, dd in shadow:
-            if gcd(modulus, part).degree > 0:
-                present.append(dd)
-        return math.lcm(*[dd // math.gcd(stride, dd) for dd in present])
+        present = [dd for part, dd in shadow if gcd(modulus, part).degree > 0]
+        return order_from_degrees(present, stride)
 
     return hint
 

@@ -167,7 +167,7 @@ class FieldCtx:
         return f"F_{self.p}^{self.m}"
 
     # Subclasses provide: zero, one, add, sub, neg, mul, inv, pow, pth_root,
-    # from_int, from_index, element_index, is_valid, rand.
+    # from_int, from_index, element_index, rand.
 
     def iter_elements(self):
         """All field elements in a fixed deterministic order."""
@@ -236,9 +236,6 @@ class PrimeField(FieldCtx):
 
     def element_index(self, a: int) -> int:
         return a
-
-    def is_valid(self, a) -> bool:
-        return isinstance(a, int) and 0 <= a < self.p
 
 
 class ExtensionField(FieldCtx):
@@ -361,13 +358,6 @@ class ExtensionField(FieldCtx):
         for d in reversed(a):
             idx = idx * self.p + d
         return idx
-
-    def is_valid(self, a) -> bool:
-        return (
-            isinstance(a, tuple)
-            and len(a) == self.m
-            and all(isinstance(x, int) and 0 <= x < self.p for x in a)
-        )
 
 
 def field_new(

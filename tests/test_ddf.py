@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from ffq import errors, field_new
-from ffq.classical import distinct_degree_parts
+from ffq import counters, errors, field_new
+from ffq.classical import BLOCK_MIN, distinct_degree_parts
 from ffq.ddf import (
     SmoothFactorization,
     ddf,
@@ -127,6 +127,41 @@ def test_extract_early_exit_when_one_factor_remains():
     parts, rem = extract_small_degrees(f, 1, 9)
     assert [(g.degree, d) for g, d in parts] == [(1, 1), (9, 9)]
     assert rem == Poly.one(F2)
+
+
+# Stride s, factor degrees (multiples of s, total >= BLOCK_MIN) and a bound
+# that cuts the first block: uncut it would run isqrt(deg f) = 8 steps, to
+# degree 8s, and catch factors above the bound.
+STRIDE_SHAPES = {
+    1: ([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 5),
+    2: ([2, 4, 6, 8, 10, 12, 14, 16], 9),
+    3: ([3, 3, 6, 9, 12, 15, 18], 10),
+}
+WIDE = (1 << 61) - 1
+
+
+@pytest.mark.parametrize("s", sorted(STRIDE_SHAPES))
+@pytest.mark.parametrize("p", [3, 101, WIDE])
+def test_extract_small_degrees_bound_inside_a_block(p, s):
+    # A stride step w -> w^(q^s) powers when q^s costs fewer products than a
+    # composition at degree 64-72 (bit_length + popcount - 2 <= 16); that
+    # holds for 3^s and 101, not for 101^2, 101^3 or any power of 2^61 - 1.
+    composes = p == WIDE or (p == 101 and s > 1)
+    ctx = field_new(p)
+    degrees, bound = STRIDE_SHAPES[s]
+    polys = distinct_irreducibles(ctx, degrees, make_rng(p % 1000 + s))
+    f = product(ctx, polys)
+    assert f.degree >= BLOCK_MIN
+    s_endo = frobenius(f, check=False).pow(s)
+    before = counters()["modcomp"]
+    parts, rem = extract_small_degrees(f, s, bound, s_endo)
+    assert (counters()["modcomp"] > before) == composes
+    want = {}
+    for g, d in zip(polys, degrees):
+        if d <= bound:
+            want[d] = want.get(d, Poly.one(ctx)) * g
+    assert parts == [(g, d) for d, g in sorted(want.items())]
+    assert rem == product(ctx, [g for g, d in zip(polys, degrees) if d > bound])
 
 
 def test_default_and_fallback_precision_formulas():

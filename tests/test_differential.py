@@ -11,8 +11,11 @@ and factor by a certificate: the factors are distinct, monic and pass
 inputs have degree >= 25, beyond the degree-24 guard of the brute-force
 cross-checks, so the engine recurses through several strides, gcd splits
 and inherited stride maps.  The ladder also runs on constructed shapes down
-to degree 2, for every branch of its loop.
+to degree 2, for every branch of its loop, and as the fallback's strip
+(``extract_small_degrees``) against sympy's parts up to the strip's bound.
 """
+
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,7 @@ from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_factor
 
 from ffq import counters, field_new
 from ffq.classical import BLOCK_MIN, distinct_degree_parts, is_irreducible
-from ffq.ddf import ddf
+from ffq.ddf import ddf, extract_small_degrees
 from ffq.factor import factor
 from ffq.order import OracleConfig, OrderOracle
 from ffq.poly import Poly, random_monic, random_squarefree, x_poly
@@ -83,6 +86,44 @@ def test_forced_fallback_matches_sympy():
     res = ddf(f, OrderOracle(OracleConfig()), rng, ell=1, trace=trace)
     assert [rec["fallback"] for rec in trace] == [True, True, False, False]
     assert ffq_parts(res.parts) == sympy_parts(f)
+
+
+def test_forced_fallback_at_degree_128_strips_on_the_classical_ladder(monkeypatch):
+    # The first estimate at ell = 1 fails, so the input is stripped up to
+    # degree 26 (26^3 >= 128^2).  The strip runs on classical.ladder; the one
+    # call to ddf.distinct_degree_parts is the simulation's shadow.
+    ctx = field_new(3)
+    rng = trial_rng(3 + 128, 1)
+    f = random_squarefree(ctx, 128, rng)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return distinct_degree_parts(*args)
+
+    # The package re-exports ddf as a function, so the module comes from
+    # sys.modules.
+    monkeypatch.setattr(sys.modules["ffq.ddf"], "distinct_degree_parts", counted)
+    trace = []
+    res = ddf(f, OrderOracle(OracleConfig()), rng, ell=1, trace=trace)
+    assert trace[0]["fallback"]
+    assert len(calls) == 1
+    assert ffq_parts(res.parts) == sympy_parts(f)
+
+
+@pytest.mark.parametrize("p", [3, 101])
+def test_extract_small_degrees_matches_sympy(p):
+    # 26 is the fallback's bound at degree 128; the F_3 input i = 2 has a
+    # part of degree 26.
+    ctx = field_new(p)
+    for i in range(6):
+        f = random_squarefree(ctx, 128, trial_rng(p + 128, i))
+        want = sympy_parts(f)
+        for bound in (5, 26, 64):
+            parts, rem = extract_small_degrees(f, 1, bound)
+            assert ffq_parts(parts) == [(g, d) for g, d in want if d <= bound], (i, bound)
+            big = [Poly(ctx, g) for g, d in want if d > bound]
+            assert rem == product(ctx, big), (i, bound)
 
 
 # Factor degrees of distinct irreducibles, one shape for each branch of the
