@@ -410,7 +410,7 @@ def _add_oracle_args(p: _Parser) -> None:
         help="measurement sampling: the exact outcome distribution at every "
         "precision (default), or idealized rounding to the nearest peak",
     )
-    p.add_argument("--max-attempts", type=int, default=4, help="estimation attempts")
+    p.add_argument("--max-attempts", type=positive_int, default=4, help="estimation attempts")
 
 
 def _add_common_args(p: _Parser) -> None:

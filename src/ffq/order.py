@@ -106,8 +106,6 @@ class OracleConfig:
     backend: str = BACKEND_SIM
     mode: str = MODE_EXACT_DIST
     max_attempts: int = 4
-    seed: int | None = None
-    order_cap: int = DEFAULT_ORDER_CAP
 
 
 # ----------------------------------------------------------------------
@@ -360,14 +358,16 @@ def estimate_order(
         cfg = OracleConfig()
     if ell < 1:
         raise errors.BadInput("ell must be >= 1")
+    if cfg.max_attempts < 1:
+        raise errors.BadInput("max_attempts must be >= 1")
     if rng is None:
-        rng = make_rng(cfg.seed)
+        rng = make_rng()
     bound = 1 << ell
 
     if cfg.backend == BACKEND_EXACT:
         if true_order is None:
             try:
-                r0 = exact_order(s, cap=min(bound, cfg.order_cap))
+                r0 = exact_order(s, cap=min(bound, DEFAULT_ORDER_CAP))
             except errors.CapExceeded:
                 return OrderEstimate(None, 1)
         else:
@@ -381,7 +381,7 @@ def estimate_order(
 
     r_true = true_order
     if r_true is None:
-        r_true = exact_order(s, cap=cfg.order_cap)
+        r_true = exact_order(s, cap=DEFAULT_ORDER_CAP)
     pp = PhaseParams(ell)
 
     transcript: list[RunRecord] = []

@@ -33,23 +33,25 @@ composition uses Horner for small outer degree and Brent-Kung
 baby-step/giant-step above it, whose block sums are packed big-integer dot
 products; over F_{p^m} each scalar is packed as an m-lane integer.
 
-Over a prime field whose products fit 64-bit lanes, arithmetic modulo one
-monic f of degree at least ``_MODCTX_MIN`` runs in a packed reduction
-context (``_ModCtx``), built once and cached on f.  Residues stay numpy
-int64 lanes between products and become lists only when they leave as a
-``Poly``; a modular product is three big-integer products, against f's low
-part and the Newton inverse of reversed f, both packed once.  ``mulmod``,
-``powmod``, the squarings of ``frobenius`` and all of ``modcomp`` (baby
-steps, block sums and the giant-step Horner) run in it.
+Arithmetic modulo f runs in a reduction context from ``_modctx``.
+``mulmod``, ``powmod``, ``frobenius`` and ``modcomp`` are written once over
+its primitives: residue in and out, packing, product, shift by x, add and
+block sums.  Over a prime field whose products fit 64-bit lanes, a monic f
+of degree at least ``_MODCTX_MIN`` gets the packed ``_ModCtx``, built once
+and cached on f.  Its residues stay numpy int64 lanes between products and
+become lists only when they leave as a ``Poly``; a modular product is three
+big-integer products, against f's low part and the Newton inverse of
+reversed f, both packed once.  Every other f gets ``_PolyCtx``, whose
+residues are reduced ``Poly`` values and whose product is (a * b) % f.
 
 The Frobenius image x^q mod f is computed by square-and-shift: a set bit
 of q costs a shift and one reduction step, not a product.  Endomorphism
 powers are square-and-multiply (``Endo.pow``) or, for s^(D/p) over every
 prime p | D at once, recursive halving.
 
-Module-level counters track multiplications (one per product, modular or
-not) and modular compositions so benchmarks can report work alongside wall
-time.
+Module-level counters track multiplications (one per product, and one per
+modular product in either context) and modular compositions so benchmarks
+can report work alongside wall time.
 """
 
 from __future__ import annotations
@@ -593,41 +595,40 @@ def gcd(a: Poly, b: Poly) -> Poly:
 
 def mulmod(a: Poly, b: Poly, f: Poly) -> Poly:
     mc = _modctx(f)
-    if mc:
-        return mc.poly(mc.mul(mc.pack(mc.residue(a)), mc.pack(mc.residue(b))))
-    return (a * b) % f
+    return mc.poly(mc.mul(mc.pack(mc.residue(a)), mc.pack(mc.residue(b))))
 
 
 def powmod(a: Poly, e: int, f: Poly) -> Poly:
-    """a^e mod f by square-and-multiply; e >= 0."""
+    """a^e mod f by square-and-multiply; e >= 0, f nonzero."""
     if e < 0:
         raise errors.BadInput("negative exponent")
     mc = _modctx(f)
-    if mc:
-        return mc.poly(mc.pow(mc.residue(a), e))
-    ctx = a.ctx
-    result = Poly.one(ctx) % f
-    cur = a % f
+    cur = mc.residue(a)
+    sq = mc.pack(cur)
+    out = None
     while e:
         if e & 1:
-            result = (result * cur) % f
+            out = cur if out is None else mc.mul(mc.pack(out), sq)
         e >>= 1
         if e:
-            cur = (cur * cur) % f
-    return result
+            cur = mc.mul(sq, sq)
+            sq = mc.pack(cur)
+    return mc.poly(mc.const(f.ctx.one) if out is None else out)
 
 
 # ----------------------------------------------------------------------
-# Packed arithmetic modulo a fixed monic polynomial (prime fields).
+# Reduction contexts: arithmetic modulo a fixed polynomial.
 # ----------------------------------------------------------------------
 
 
-def _modctx(f: Poly):
-    """The packed reduction context of ``f``, or False where none applies.
+def _modctx(f: Poly, terms: int = 1):
+    """The reduction context for arithmetic modulo the nonzero ``f``.
 
-    It applies to monic f over a prime field of degree at least
-    ``_MODCTX_MIN`` whose products fit 64-bit lanes, and is built once per
-    modulus.
+    The packed ``_ModCtx`` applies to monic f over a prime field of degree at
+    least ``_MODCTX_MIN`` whose products fit 64-bit lanes, and is built once
+    per modulus.  Its lanes hold sums of at most n = deg f products, so
+    block sums of more ``terms`` than that, and every other f, get the list
+    context ``_PolyCtx``.
     """
     mc = f._mod
     if mc is None:
@@ -638,7 +639,7 @@ def _modctx(f: Poly):
             if dt is not None:
                 mc = _ModCtx(f, wb, dt)
         f._mod = mc
-    return mc
+    return mc if mc and terms <= mc.n else _PolyCtx(f)
 
 
 class _ModCtx:
@@ -686,6 +687,11 @@ class _ModCtx:
     def poly(self, a: np.ndarray) -> Poly:
         return Poly(self.ctx, a.tolist())
 
+    def const(self, c: int) -> np.ndarray:
+        out = np.zeros(self.n, dtype=np.int64)
+        out[0] = c
+        return out
+
     def mul(self, a: int, b: int) -> np.ndarray:
         """(a * b) mod f from packed residues a and b."""
         _counters["mul"] += 1
@@ -693,6 +699,9 @@ class _ModCtx:
         c = self.lanes(a * b, 2 * n - 1)
         qrev = self.lanes(self.pack(c[: n - 1 : -1] % p) * self.finv, n - 1) % p
         return (c[:n] - self.lanes(self.pack(qrev[::-1]) * self.flow, n)) % p
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a + b) % self.p
 
     def shift(self, a: np.ndarray) -> np.ndarray:
         """x * a mod f: a shift, then x^n = -(f's low part) for the top lane."""
@@ -702,54 +711,80 @@ class _ModCtx:
         top = a[-1]
         return (out - top * self.low) % self.p if top else out
 
-    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        """a^e mod f by square-and-multiply."""
-        out = None
-        sq = self.pack(a)
-        while e:
-            if e & 1:
-                out = a if out is None else self.mul(self.pack(out), sq)
-            e >>= 1
-            if e:
-                a = self.mul(sq, sq)
-                sq = self.pack(a)
-        if out is None:
-            out = np.zeros(self.n, dtype=np.int64)
-            out[0] = 1
-        return out
+    def blocks(self, coeffs: list[int], powers: list[int]) -> list[np.ndarray]:
+        """``_dots`` of coeffs and the packed powers g^j, j < t <= n, as residues."""
+        return [self.lanes(v, self.n) % self.p for v in _dots(coeffs, powers)]
 
-    def compose(self, a: list[int], g: np.ndarray) -> np.ndarray:
-        """a(g) mod f, for a coefficient list a with isqrt(len(a) - 1) < n.
 
-        Horner for short a, otherwise Brent-Kung: baby steps g^j, block sums
-        as packed dot products with a's coefficients, and a giant-step Horner
-        in g^t.
+class _PolyCtx:
+    """Residues modulo any nonzero f as reduced ``Poly`` values: the list path.
+
+    The packed form of a residue is the residue itself, and a product is
+    (a * b) % f on the general kernels, so this context serves every field
+    and every modulus that ``_ModCtx`` does not.
+    """
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: Poly):
+        self.f = f
+
+    def residue(self, a: Poly) -> Poly:
+        return a % self.f
+
+    def poly(self, a: Poly) -> Poly:
+        return a
+
+    def pack(self, a: Poly) -> Poly:
+        return a
+
+    def const(self, c) -> Poly:
+        f = self.f
+        return Poly.const(f.ctx, c) if len(f.coeffs) > 1 else Poly.zero(f.ctx)
+
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        return (a * b) % self.f
+
+    def add(self, a: Poly, b: Poly) -> Poly:
+        return a + b
+
+    def shift(self, a: Poly) -> Poly:
+        """x * a mod the monic f: a shift, then one subtraction of a multiple of f."""
+        f = self.f
+        a = a.shift(1)
+        if len(a.coeffs) == len(f.coeffs):
+            a = a - f.scaled(a.coeffs[-1])
+        return a
+
+    def blocks(self, coeffs: list, powers: list[Poly]) -> list[Poly]:
+        """``_dots`` of coeffs and the powers g^j, packed here.
+
+        Over F_{p^m} each g^j is packed from its flat lanes and each scalar
+        as an m-lane integer, so one big-integer product forms the
+        y-convolution of the scalar with every coefficient of g^j.
         """
-        p, n = self.p, self.n
-        gp = self.pack(g)
-        if len(a) <= HORNER_MAX:
-            acc = np.zeros(n, dtype=np.int64)
-            acc[0] = a[-1]
-            for c in a[-2::-1]:
-                acc = self.mul(self.pack(acc), gp)
-                acc[0] = (acc[0] + c) % p
-            return acc
-        t = isqrt(len(a) - 1) + 1
-        powers = [1, gp]  # g^0, ..., g^(t-1), packed
-        for _ in range(t - 2):
-            powers.append(self.pack(self.mul(powers[-1], gp)))
-        giant = self.pack(self.mul(powers[-1], gp))
-        blocks = []
-        for i in range(0, len(a), t):
-            acc = 0
-            for c, gj in zip(a[i : i + t], powers):
-                if c:
-                    acc += c * gj
-            blocks.append(self.lanes(acc, n) % p)
-        acc = blocks.pop()
-        while blocks:
-            acc = (self.mul(self.pack(acc), giant) + blocks.pop()) % p
-        return acc
+        ctx = self.f.ctx
+        p, m = ctx.p, ctx.m
+        wb, dt = _pack_width(len(powers) * m, p)
+        if m == 1:
+            packed = [_pack(g.coeffs, wb, dt) for g in powers]
+        else:
+            packed = [_pack(_flat(g.coeffs, m), wb, dt) for g in powers]
+            shifts = [8 * wb * s for s in range(m)]
+            coeffs = [sum([v << sh for v, sh in zip(c, shifts)]) for c in coeffs]
+        k = (len(self.f.coeffs) - 1) * (2 * m - 1)
+        out = [_unpack(v, k, wb, dt, p) for v in _dots(coeffs, packed)]
+        return [Poly(ctx, c if m == 1 else _fold(c, ctx)) for c in out]
+
+
+def _dots(scalars: list[int], packed: list[int]) -> list[int]:
+    """Brent-Kung block sums: for each run of t = len(packed) scalars c[it+j],
+    the big-integer dot product sum_j c[it+j] * packed[j]."""
+    t = len(packed)
+    return [
+        sum([c * gj for c, gj in zip(scalars[i : i + t], packed) if c])
+        for i in range(0, len(scalars), t)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -762,8 +797,8 @@ def modcomp(a: Poly, g: Poly, f: Poly) -> Poly:
 
     ``f`` must be monic of degree >= 1 and ``deg g < deg f``.  Horner for
     small ``deg a``, otherwise Brent-Kung: about 2*sqrt(deg a) modular
-    multiplications, with the inner linear combinations done as packed
-    big-integer dot products over prime fields.
+    multiplications, with the block sums done as packed big-integer dot
+    products.
     """
     if not f.is_monic() or len(f.coeffs) < 2:
         raise errors.BadInput("composition modulus must be monic of degree >= 1")
@@ -772,67 +807,30 @@ def modcomp(a: Poly, g: Poly, f: Poly) -> Poly:
     if not g.is_zero() and len(g.coeffs) >= len(f.coeffs):
         raise errors.DegreeError("inner polynomial must be reduced mod f")
     _counters["modcomp"] += 1
-    ctx = a.ctx
     coeffs = a.coeffs
-    if len(coeffs) == 0:
-        return Poly.zero(ctx)
-    mc = _modctx(f)
-    if mc and isqrt(len(coeffs) - 1) < mc.n:
-        return mc.poly(mc.compose(coeffs, mc.residue(g)))
+    if not coeffs:
+        return Poly.zero(a.ctx)
+    t = isqrt(len(coeffs) - 1) + 1  # Brent-Kung block length
+    mc = _modctx(f, t)
+    gp = mc.pack(mc.residue(g))
     if len(coeffs) <= HORNER_MAX:
-        acc = Poly.zero(ctx)
-        for c in reversed(coeffs):
-            acc = (acc * g) % f
-            if c != ctx.zero:
-                acc = acc + Poly.const(ctx, c)
-        return acc
-    # Baby steps: G[j] = g^j mod f for j in [0, t].
-    t = isqrt(len(coeffs) - 1) + 1
-    G = [Poly.one(ctx)]
-    for _ in range(t):
-        G.append((G[-1] * g) % f)
-    nblocks = (len(coeffs) + t - 1) // t
-    blocks = _bsgs_blocks_packed(coeffs, G, t, nblocks, f)
-    giant = G[t]
-    acc = blocks[-1]
-    for i in range(nblocks - 2, -1, -1):
-        acc = (acc * giant) % f
-        acc = acc + blocks[i]
-    return acc % f
-
-
-def _bsgs_blocks_packed(coeffs, G, t, nblocks, f):
-    """Block linear combinations sum_j c[it+j] * G[j] via packed integers.
-
-    Over F_{p^m} each G[j] is packed from its flat lanes and each scalar
-    c[it+j] as an m-lane integer, so one big-integer product forms the
-    y-convolution of the scalar with every coefficient of G[j].
-    """
-    n = len(f.coeffs) - 1
-    ctx = f.ctx
-    p, m = ctx.p, ctx.m
-    wb, dt = _pack_width(t * m, p)
-    if m == 1:
-        packed = [_pack(G[j].coeffs, wb, dt) for j in range(t)]
-        scalars = coeffs
-    else:
-        packed = [_pack(_flat(G[j].coeffs, m), wb, dt) for j in range(t)]
-        shifts = [8 * wb * s for s in range(m)]
-        scalars = [sum([v << sh for v, sh in zip(c, shifts)]) for c in coeffs]
-    out = []
-    for i in range(nblocks):
-        chunk = scalars[i * t : (i + 1) * t]
-        acc = 0
-        for j, c in enumerate(chunk):
-            if c:
-                acc += c * packed[j]
-        if acc == 0:
-            out.append(Poly.zero(ctx))
-        elif m == 1:
-            out.append(Poly(ctx, _unpack(acc, n, wb, dt, p)))
-        else:
-            out.append(Poly(ctx, _fold(_unpack(acc, n * (2 * m - 1), wb, dt, p), ctx)))
-    return out
+        zero = a.ctx.zero
+        acc = mc.const(coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc = mc.mul(mc.pack(acc), gp)
+            if c != zero:
+                acc = mc.add(acc, mc.const(c))
+        return mc.poly(acc)
+    # Baby steps g^0, ..., g^(t-1) and the giant step g^t, all packed.
+    powers = [mc.pack(mc.const(a.ctx.one)), gp]
+    for _ in range(t - 2):
+        powers.append(mc.pack(mc.mul(powers[-1], gp)))
+    giant = mc.pack(mc.mul(powers[-1], gp))
+    blocks = mc.blocks(coeffs, powers)
+    acc = blocks.pop()
+    while blocks:
+        acc = mc.add(mc.mul(mc.pack(acc), giant), blocks.pop())
+    return mc.poly(acc)
 
 
 # ----------------------------------------------------------------------
@@ -945,23 +943,13 @@ def frobenius(f: Poly, check: bool = True) -> Endo:
         if d.is_zero() or gcd(f, d).degree > 0:
             raise errors.NotSquarefree("modulus must be squarefree")
     mc = _modctx(f)
-    if mc:
-        img = mc.residue(x_poly(f.ctx))
-        for bit in bin(f.ctx.q)[3:]:
-            a = mc.pack(img)
-            img = mc.mul(a, a)
-            if bit == "1":
-                img = mc.shift(img)
-        return Endo(f, mc.poly(img))
-    n = len(f.coeffs)
-    img = x_poly(f.ctx) % f
+    img = mc.residue(x_poly(f.ctx))
     for bit in bin(f.ctx.q)[3:]:
-        img = (img * img) % f
+        sq = mc.pack(img)
+        img = mc.mul(sq, sq)
         if bit == "1":
-            img = img.shift(1)
-            if len(img.coeffs) == n:
-                img = img - f.scaled(img.coeffs[-1])
-    return Endo(f, img)
+            img = mc.shift(img)
+    return Endo(f, mc.poly(img))
 
 
 def poly_pth_root(f: Poly) -> Poly:

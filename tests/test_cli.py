@@ -115,6 +115,22 @@ def test_stats_rejects_empty_samples(command, flag, capsys):
     assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "--p", "3", "--poly", "x^2+1", "--max-attempts", "0"],
+        ["ddf", "--p", "3", "--poly", "x^2+1", "--max-attempts", "0"],
+        ["order", "--p", "3", "--modulus", "x^4+x+2", "--max-attempts", "-2"],
+        ["stats", "factor-count", "--p", "2", "--n", "4", "--trials", "5", "--max-attempts", "0"],
+        ["bench", "--p", "3", "--sizes", "8", "--max-attempts", "0"],
+    ],
+    ids=lambda argv: " ".join(argv[: argv.index("--p")]),
+)
+def test_max_attempts_must_be_positive(argv, capsys):
+    assert main(argv + ["--seed", "1", "--json"]) == 1
+    assert "argument --max-attempts: must be >= 1" in capsys.readouterr().err
+
+
 def test_json_requires_a_seed(capsys, monkeypatch):
     monkeypatch.delenv("FFQ_SEED", raising=False)
     assert main(["factor", "--p", "5", "--poly", "x", "--json"]) == 1

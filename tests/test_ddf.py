@@ -180,7 +180,7 @@ def test_order_with_fallback_success_path():
     rng = make_rng(127)
     polys = distinct_irreducibles(F2, [2, 3], rng)
     f = product(F2, polys)
-    oracle = OrderOracle(OracleConfig(seed=5))
+    oracle = OrderOracle(OracleConfig())
     parts, rem, endo, d, powers, used_fb = order_with_fallback(
         f, frobenius(f), 1, 4, oracle, rng, hint_fn=lambda g, s: 6
     )
@@ -192,7 +192,7 @@ def test_order_with_fallback_strips_and_retries():
     rng = make_rng(131)
     polys = distinct_irreducibles(F2, [1, 7], rng)
     f = product(F2, polys)
-    oracle = OrderOracle(OracleConfig(seed=5))
+    oracle = OrderOracle(OracleConfig())
 
     def hint(g, s):
         degs = [dd for (_, dd) in distinct_degree_parts(g)]
@@ -251,7 +251,7 @@ def test_ddf_matches_classical_on_random_inputs():
             rng = trial_rng(140 + ctx.q, i)
             n = 2 + int(rng.integers(max_n - 1))
             f = random_squarefree(ctx, n, rng)
-            oracle = OrderOracle(OracleConfig(seed=7))
+            oracle = OrderOracle(OracleConfig())
             got = ddf(f, oracle, rng).parts
             assert got == distinct_degree_parts(f), (ctx.q, i, n)
 
@@ -262,7 +262,7 @@ def test_ddf_on_constructed_degree_patterns():
     for shape in patterns:
         polys = distinct_irreducibles(F3, shape, rng)
         f = product(F3, polys)
-        res = ddf(f, OrderOracle(OracleConfig(seed=11)), rng)
+        res = ddf(f, OrderOracle(OracleConfig()), rng)
         assert res.degrees() == sorted(set(shape))
         assert res.parts == distinct_degree_parts(f)
 
@@ -272,7 +272,7 @@ def test_ddf_single_degree_input_hits_the_identity_case():
     polys = distinct_irreducibles(F2, [3, 3], rng)
     f = product(F2, polys)
     trace = []
-    res = ddf(f, OrderOracle(OracleConfig(seed=13)), rng, trace=trace)
+    res = ddf(f, OrderOracle(OracleConfig()), rng, trace=trace)
     assert res.parts == [(f, 3)]
     # order 3 is prime: one stride bump, then the identity check emits
     assert any(rec["d"] == 1 or rec["emitted"] for rec in trace)
@@ -292,7 +292,7 @@ def test_ddf_trace_structure_and_audit():
     rng = make_rng(163)
     f = random_squarefree(F3, 30, rng)
     trace = []
-    res = ddf(f, OrderOracle(OracleConfig(seed=17)), rng, trace=trace)
+    res = ddf(f, OrderOracle(OracleConfig()), rng, trace=trace)
     assert res.parts == distinct_degree_parts(f)
     ids = [rec["id"] for rec in trace]
     assert len(ids) == len(set(ids))
@@ -313,7 +313,7 @@ def test_ddf_exercises_fallback_end_to_end():
     polys = distinct_irreducibles(F2, [1, 7], rng)
     f = product(F2, polys)
     trace = []
-    res = ddf(f, OrderOracle(OracleConfig(seed=19)), rng, ell=1, trace=trace)
+    res = ddf(f, OrderOracle(OracleConfig()), rng, ell=1, trace=trace)
     assert res.parts == distinct_degree_parts(f)
     assert any(rec["fallback"] for rec in trace)
 
@@ -358,7 +358,7 @@ def test_ddf_many_prime_degrees_need_no_fallback():
     polys = distinct_irreducibles(F2, [2, 3, 5, 7], rng)
     f = product(F2, polys)
     trace = []
-    res = ddf(f, OrderOracle(OracleConfig(seed=23)), rng, ell=8, trace=trace)
+    res = ddf(f, OrderOracle(OracleConfig()), rng, ell=8, trace=trace)
     assert res.degrees() == [2, 3, 5, 7]
     assert res.parts == distinct_degree_parts(f)
     assert not any(rec["fallback"] for rec in trace)

@@ -82,7 +82,7 @@ def test_edf_rejects_degree_mismatch():
 def test_factor_fixed_example():
     # 3(x + 1)^2 (x + 2) over F_7, with the unit pulled out front
     f = Poly(F7, [2, 5, 4, 1]).scaled(3)
-    res = factor(f, OrderOracle(OracleConfig(seed=2)), make_rng(2))
+    res = factor(f, OrderOracle(OracleConfig()), make_rng(2))
     assert res.unit == 3
     assert res.factors == [(Poly(F7, [1, 1]), 2), (Poly(F7, [2, 1]), 1)]
     assert res.product(F7) == f
@@ -92,7 +92,7 @@ def test_factor_sorts_by_degree_then_text():
     rng = make_rng(233)
     polys = distinct_irreducibles(F3, [2, 1, 3, 1], rng)
     f = product(F3, polys)
-    res = factor(f, OrderOracle(OracleConfig(seed=3)), make_rng(3))
+    res = factor(f, OrderOracle(OracleConfig()), make_rng(3))
     keys = [(g.degree, g.sort_key()) for g, _ in res.factors]
     assert keys == sorted(keys)
 
@@ -105,7 +105,7 @@ def test_factor_agrees_with_brute_force():
             f = random_monic(ctx, n, rng)
             if int(rng.integers(0, 2)):
                 f = f.scaled(ctx.from_index(1 + int(rng.integers(0, ctx.q - 1))))
-            oracle = OrderOracle(OracleConfig(seed=41))
+            oracle = OrderOracle(OracleConfig())
             res = factor(f, oracle, rng)
             unit, pairs = brute_factor(f)
             assert res.unit == unit and res.factors == pairs, (ctx.q, i)
@@ -116,7 +116,7 @@ def test_factor_output_invariants():
     for ctx in [F3, F9]:
         for _ in range(8):
             f = random_monic(ctx, int(rng.integers(3, 18)), rng)
-            res = factor(f, OrderOracle(OracleConfig(seed=43)), rng)
+            res = factor(f, OrderOracle(OracleConfig()), rng)
             assert isinstance(res, Factorization)
             for g, mult in res.factors:
                 assert g.is_monic() and mult >= 1 and is_irreducible(g)
@@ -126,7 +126,7 @@ def test_factor_output_invariants():
 def test_factor_of_an_irreducible_is_itself():
     rng = make_rng(251)
     g = rand_irreducible(F2, 11, rng)
-    res = factor(g, OrderOracle(OracleConfig(seed=47)), rng)
+    res = factor(g, OrderOracle(OracleConfig()), rng)
     assert res.unit == 1 and res.factors == [(g, 1)]
 
 
@@ -142,6 +142,6 @@ def test_factor_xq_minus_x_splits_into_all_linears():
     for ctx in [F2, F3, F5]:
         q = ctx.q
         f = Poly(ctx, [ctx.zero] * q + [ctx.one]) - Poly(ctx, [ctx.zero, ctx.one])
-        res = factor(f, OrderOracle(OracleConfig(seed=53)), make_rng(53))
+        res = factor(f, OrderOracle(OracleConfig()), make_rng(53))
         assert len(res.factors) == q
         assert all(g.degree == 1 and m == 1 for g, m in res.factors)

@@ -40,6 +40,7 @@ from ffq.poly import (
     HORNER_MAX,
     SCHOOLBOOK_MAX,
     Poly,
+    _ModCtx,
     _modctx,
     _pack_width,
     counters,
@@ -217,7 +218,7 @@ def test_modular_kernels_at_lane_edges_and_the_context_threshold(bits):
             assert (wb == bits // 8) == (p == inside)
             worst = Poly(ctx, [p - 1] * n)
             f = Poly(ctx, [p - 1] * n + [1])
-            assert bool(_modctx(f)) == (n >= _MODCTX_MIN and dt is not None)
+            assert isinstance(_modctx(f), _ModCtx) == (n >= _MODCTX_MIN and dt is not None)
             check_modular(worst, worst, f)
             # isqrt(n * n - 1) = n - 1: Brent-Kung blocks of n worst-case
             # terms, the most the context's lanes take.  One coefficient
@@ -237,13 +238,13 @@ def test_modcomp_in_the_context_around_horner_max_and_short_inputs(p):
     rng = make_rng(p % 1000 + 12)
     for n in (_MODCTX_MIN, 40):
         f = random_monic(ctx, n, rng)
-        assert _modctx(f)
+        assert isinstance(_modctx(f), _ModCtx)
         g = random_poly(ctx, n - 1, rng)
         for la in (HORNER_MAX - 1, HORNER_MAX, HORNER_MAX + 1, 26, n):
             check_modular(random_poly(ctx, la - 1, rng), g, f)
-        for a in (Poly.zero(ctx), Poly.const(ctx, 5), random_poly(ctx, 1, rng),
+        for a in (Poly.zero(ctx), Poly.const(ctx, ctx.from_int(5)), random_poly(ctx, 1, rng),
                   random_poly(ctx, 3, rng)):
-            for inner in (Poly.zero(ctx), Poly.const(ctx, 7), x_poly(ctx), g):
+            for inner in (Poly.zero(ctx), Poly.const(ctx, ctx.from_int(7)), x_poly(ctx), g):
                 check_modular(a, inner, f)
                 check_modular(random_poly(ctx, 30, rng), inner, f)
         # More than n^2 coefficients: a block would sum more than the n terms
@@ -251,11 +252,15 @@ def test_modcomp_in_the_context_around_horner_max_and_short_inputs(p):
         check_modular(random_poly(ctx, n * n, rng), g, f)
 
 
-def test_context_counts_one_product_per_modular_product():
-    ctx = field_new(3)
+@pytest.mark.parametrize(
+    "ctx",
+    [field_new(3), field_new((1 << 61) - 1), field_new(3, 2, [1, 0, 1])],
+    ids=["F3-packed", "F2^61-1-bytes", "F9-ext"],
+)
+def test_context_counts_one_product_per_modular_product(ctx):
     rng = make_rng(13)
     f = random_monic(ctx, 32, rng)
-    assert _modctx(f)
+    assert isinstance(_modctx(f), _ModCtx) == (ctx.p == 3 and ctx.m == 1)
     a, g = random_poly(ctx, 31, rng), random_poly(ctx, 31, rng)
     reset_counters()
     mulmod(a, g, f)

@@ -324,7 +324,7 @@ def test_exact_order_is_lcm_of_factor_degrees():
 
 def test_estimate_finds_small_frobenius_order():
     g = Poly(F2, [1, 1, 0, 1])
-    est = estimate_order(frobenius(g), 3, OracleConfig(seed=12), true_order=3)
+    est = estimate_order(frobenius(g), 3, OracleConfig(), make_rng(12), true_order=3)
     assert est.found and est.order == 3
     assert est.attempts >= 1
     assert len(est.transcript) == 2 * est.attempts
@@ -337,13 +337,13 @@ def test_estimate_finds_small_frobenius_order():
 def test_estimate_identity_and_oversized_order():
     f = Poly(F2, [1, 1, 0, 1])
     ident = Endo(f, x_poly(F2) % f)
-    est = estimate_order(ident, 3, OracleConfig(seed=1))
+    est = estimate_order(ident, 3, OracleConfig(), make_rng(1))
     assert est.found and est.order == 1
     # order 12 cannot be represented with ell = 2 (bound 4)
     rng = make_rng(7)
     polys = distinct_irreducibles(F3, [3, 4], rng)
     f12 = product(F3, polys)
-    est = estimate_order(frobenius(f12), 2, OracleConfig(seed=3), true_order=12)
+    est = estimate_order(frobenius(f12), 2, OracleConfig(), make_rng(3), true_order=12)
     assert not est.found and est.order is None
     assert est.attempts == 4  # exhausted the default budget
 
@@ -357,7 +357,7 @@ def test_estimate_never_reports_wrong_or_unminimized_order():
     for f, r_true in cases:
         s = frobenius(f)
         for i in range(12):
-            est = estimate_order(s, 6, OracleConfig(seed=None), trial_rng(991, i), true_order=r_true)
+            est = estimate_order(s, 6, OracleConfig(), trial_rng(991, i), true_order=r_true)
             if est.found:
                 assert est.order == r_true, (r_true, est.order)
 
@@ -367,7 +367,7 @@ def test_estimate_minimality_witnessed_by_prime_strips():
     polys = distinct_irreducibles(F2, [4, 6], rng)
     f = product(F2, polys)  # order 12
     s = frobenius(f)
-    est = estimate_order(s, 5, OracleConfig(seed=21), true_order=12)
+    est = estimate_order(s, 5, OracleConfig(), make_rng(21), true_order=12)
     assert est.found and est.order == 12
     for rho in factor_int(est.order):
         assert not s.pow(est.order // rho).is_identity()
@@ -391,7 +391,7 @@ def test_estimate_carries_the_cofactor_powers_of_its_order(backend):
         f = product(F2, distinct_irreducibles(F2, degrees, rng))
         r = math.lcm(*degrees)
         s = frobenius(f)
-        est = estimate_order(s, 6, OracleConfig(backend=backend, seed=31), true_order=r)
+        est = estimate_order(s, 6, OracleConfig(backend=backend), make_rng(31), true_order=r)
         assert est.found and est.order == r
         check_cofactor_powers(s, r, est.powers)
 
@@ -426,7 +426,7 @@ def test_transcript_flags_match_explicit_powers():
         # that are proper multiples too.
         for ell, hint in ((4, r), (6, r), (6, 2 * r)):
             for i in range(8):
-                est = estimate_order(s, ell, OracleConfig(seed=None), trial_rng(77, i),
+                est = estimate_order(s, ell, OracleConfig(), trial_rng(77, i),
                                      true_order=hint)
                 for t in est.transcript:
                     fits = 1 <= t.r <= 1 << ell
@@ -466,12 +466,15 @@ def test_exact_backend_is_deterministic():
 
 def test_oracle_front_end_passes_config_through():
     g = Poly(F2, [1, 1, 0, 1])
-    oracle = OrderOracle(OracleConfig(seed=123))
+    oracle = OrderOracle(OracleConfig())
     est = oracle.estimate(frobenius(g), 3, make_rng(123), true_order=3)
     assert est.found and est.order == 3
     bad = OracleConfig(backend="warp-drive")
     with pytest.raises(errors.BadInput):
         estimate_order(frobenius(g), 3, bad, make_rng(1))
+    for attempts in (0, -2):
+        with pytest.raises(errors.BadInput):
+            estimate_order(frobenius(g), 3, OracleConfig(max_attempts=attempts), make_rng(1))
 
 
 def ref_factor_int(n):

@@ -186,11 +186,16 @@ def test_powmod_matches_repeated_multiplication():
     for ctx in [F3, F9]:
         f = random_monic(ctx, 9, rng)
         a = random_poly(ctx, 8, rng)
-        cur = Poly.one(ctx)
-        for e in range(40):
-            assert powmod(a, e, f) == cur
-            cur = (cur * a) % f
-        assert mulmod(a, a, f) == (a * a) % f
+        # Non-monic moduli take the list context at every degree, also at
+        # degree 14, where a monic F_3 modulus would take the packed one.
+        two = ctx.from_int(2)
+        for mod in (f, f.scaled(two), random_monic(ctx, 14, rng).scaled(two)):
+            cur = Poly.one(ctx)
+            for e in range(40):
+                assert powmod(a, e, mod) == cur
+                cur = (cur * a) % mod
+            assert mulmod(a, a, mod) == (a * a) % mod
+            assert mulmod(a * a, a, mod) == (a * a * a) % mod
 
 
 def test_modcomp_matches_reference_both_paths():
