@@ -57,7 +57,8 @@ BLOCK_MIN = 64
 
 def _composes(Q: int, n: int) -> bool:
     """Whether w(x^Q) mod a degree-n modulus, about 2*sqrt(n) products
-    (Brent-Kung), beats w^Q, bit_length(Q) + popcount(Q) - 2 products."""
+    (every composition is Brent-Kung), beats w^Q, bit_length(Q) +
+    popcount(Q) - 2 products."""
     return Q.bit_length() + bin(Q).count("1") - 2 > 2 * math.isqrt(n)
 
 

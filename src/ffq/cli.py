@@ -44,7 +44,6 @@ from .order import (
     MODE_IDEALIZED,
     OracleConfig,
     OrderOracle,
-    estimate_order,
 )
 from .poly import counters, frobenius, random_monic, random_squarefree, reset_counters
 from .rng import make_rng, trial_rng
@@ -223,8 +222,7 @@ def cmd_order(args) -> int:
     # The simulation needs the true order; derive it classically from the
     # factor degrees of the modulus.
     true_order = order_from_degrees([d for (_, d) in distinct_degree_parts(f)], args.power)
-    cfg = OracleConfig(backend=args.oracle, mode=args.mode, max_attempts=args.max_attempts)
-    est = estimate_order(endo, ell, cfg, rng, true_order=true_order)
+    est = _oracle_from(args).estimate(endo, ell, rng, true_order=true_order)
     if args.json:
         _emit_json(
             {

@@ -28,10 +28,10 @@ coefficient and the final remainder are reduced (over F_{p^m} the
 subtraction is a y-convolution on the lanes).  Division by large monic
 divisors uses a cached Newton series inverse of the reversed divisor,
 making repeated reduction modulo a fixed polynomial quasi-linear after the
-first call.  Euclid runs its whole remainder chain on raw lists.  Modular
-composition uses Horner for small outer degree and Brent-Kung
-baby-step/giant-step above it, whose block sums are packed big-integer dot
-products; over F_{p^m} each scalar is packed as an m-lane integer.
+first call.  Euclid runs its whole remainder chain on raw lists.  Every
+modular composition is Brent-Kung baby-step/giant-step, whose block sums
+are packed big-integer dot products; over F_{p^m} each scalar is packed as
+an m-lane integer.
 
 Arithmetic modulo f runs in a reduction context from ``_modctx``.
 ``mulmod``, ``powmod``, ``frobenius`` and ``modcomp`` are written once over
@@ -82,7 +82,6 @@ __all__ = [
 ]
 
 SCHOOLBOOK_MAX = 16  # below this length, schoolbook multiplication wins
-HORNER_MAX = 16  # modcomp switches to baby-step/giant-step at this degree
 _FAST_DIV_MIN_QUOTIENT = 16
 _FAST_DIV_MIN_DIVISOR = 32
 # Over F_{p^m}, Newton division wins once the divisor length and the
@@ -334,7 +333,8 @@ class Poly:
 
     @staticmethod
     def const(ctx: FieldCtx, c) -> "Poly":
-        return Poly(ctx, [c])
+        """The constant c: an ``int`` is mapped into the field by ``ctx.from_int``."""
+        return Poly(ctx, [ctx.from_int(c) if isinstance(c, int) else c])
 
     # -- basic queries ----------------------------------------------------
 
@@ -795,10 +795,11 @@ def _dots(scalars: list[int], packed: list[int]) -> list[int]:
 def modcomp(a: Poly, g: Poly, f: Poly) -> Poly:
     """a(g) mod f.
 
-    ``f`` must be monic of degree >= 1 and ``deg g < deg f``.  Horner for
-    small ``deg a``, otherwise Brent-Kung: about 2*sqrt(deg a) modular
-    multiplications, with the block sums done as packed big-integer dot
-    products.
+    ``f`` must be monic of degree >= 1 and ``deg g < deg f``.  Every
+    composition is Brent-Kung: about 2*sqrt(deg a) modular multiplications,
+    with the block sums done as packed big-integer dot products.  The giant
+    step is formed only when there is more than one block, so a constant or
+    linear ``a`` costs no product.
     """
     if not f.is_monic() or len(f.coeffs) < 2:
         raise errors.BadInput("composition modulus must be monic of degree >= 1")
@@ -810,26 +811,19 @@ def modcomp(a: Poly, g: Poly, f: Poly) -> Poly:
     coeffs = a.coeffs
     if not coeffs:
         return Poly.zero(a.ctx)
-    t = isqrt(len(coeffs) - 1) + 1  # Brent-Kung block length
+    t = max(isqrt(len(coeffs) - 1) + 1, 2)  # Brent-Kung block length
     mc = _modctx(f, t)
     gp = mc.pack(mc.residue(g))
-    if len(coeffs) <= HORNER_MAX:
-        zero = a.ctx.zero
-        acc = mc.const(coeffs[-1])
-        for c in coeffs[-2::-1]:
-            acc = mc.mul(mc.pack(acc), gp)
-            if c != zero:
-                acc = mc.add(acc, mc.const(c))
-        return mc.poly(acc)
-    # Baby steps g^0, ..., g^(t-1) and the giant step g^t, all packed.
+    # Baby steps g^0, ..., g^(t-1), packed.
     powers = [mc.pack(mc.const(a.ctx.one)), gp]
     for _ in range(t - 2):
         powers.append(mc.pack(mc.mul(powers[-1], gp)))
-    giant = mc.pack(mc.mul(powers[-1], gp))
     blocks = mc.blocks(coeffs, powers)
     acc = blocks.pop()
-    while blocks:
-        acc = mc.add(mc.mul(mc.pack(acc), giant), blocks.pop())
+    if blocks:
+        giant = mc.pack(mc.mul(powers[-1], gp))  # g^t
+        while blocks:
+            acc = mc.add(mc.mul(mc.pack(acc), giant), blocks.pop())
     return mc.poly(acc)
 
 

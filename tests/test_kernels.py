@@ -8,8 +8,9 @@ x-coefficient reduced by h with galoistools.  Sizes straddle the schoolbook
 and fast-division thresholds, and the fields reach every lane width the
 Kronecker multiply can pick: 16, 32 and 64-bit numpy lanes and byte lanes
 above 64 bits.  The packed reduction context (products, powers, x^q and
-compositions modulo a fixed monic f) is checked at the same lane edges, on
-both sides of its degree threshold and of ``HORNER_MAX``.
+compositions modulo a fixed monic f) is checked at the same lane edges and
+on both sides of its degree threshold, with compositions by outer
+polynomials from the constants up past n^2 coefficients.
 """
 
 from math import isqrt
@@ -37,7 +38,6 @@ from ffq.poly import (
     _FAST_DIV_MIN_DIVISOR,
     _FAST_DIV_MIN_QUOTIENT,
     _MODCTX_MIN,
-    HORNER_MAX,
     SCHOOLBOOK_MAX,
     Poly,
     _ModCtx,
@@ -233,18 +233,18 @@ def test_modular_kernels_at_lane_edges_and_the_context_threshold(bits):
 
 
 @pytest.mark.parametrize("p", [3, 101, 65537])
-def test_modcomp_in_the_context_around_horner_max_and_short_inputs(p):
+def test_modcomp_in_the_context_at_short_and_long_outer_lengths(p):
     ctx = field_new(p)
     rng = make_rng(p % 1000 + 12)
     for n in (_MODCTX_MIN, 40):
         f = random_monic(ctx, n, rng)
         assert isinstance(_modctx(f), _ModCtx)
         g = random_poly(ctx, n - 1, rng)
-        for la in (HORNER_MAX - 1, HORNER_MAX, HORNER_MAX + 1, 26, n):
+        for la in (15, 16, 17, 26, n):
             check_modular(random_poly(ctx, la - 1, rng), g, f)
-        for a in (Poly.zero(ctx), Poly.const(ctx, ctx.from_int(5)), random_poly(ctx, 1, rng),
+        for a in (Poly.zero(ctx), Poly.const(ctx, 5), random_poly(ctx, 1, rng),
                   random_poly(ctx, 3, rng)):
-            for inner in (Poly.zero(ctx), Poly.const(ctx, ctx.from_int(7)), x_poly(ctx), g):
+            for inner in (Poly.zero(ctx), Poly.const(ctx, 7), x_poly(ctx), g):
                 check_modular(a, inner, f)
                 check_modular(random_poly(ctx, 30, rng), inner, f)
         # More than n^2 coefficients: a block would sum more than the n terms
@@ -271,6 +271,30 @@ def test_context_counts_one_product_per_modular_product(ctx):
     reset_counters()
     modcomp(a, g, f)  # 32 coefficients, t = 6: 5 baby steps, 5 giant steps
     assert counters() == {"mul": 10, "modcomp": 1}
+    reset_counters()
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [field_new(3), field_new((1 << 61) - 1), field_new(3, 2, [1, 0, 1])],
+    ids=["F3-packed", "F2^61-1-bytes", "F9-ext"],
+)
+def test_modcomp_counts_brent_kung_products_at_every_outer_length(ctx):
+    """An outer polynomial of L coefficients costs k - 2 baby steps, with
+    k = max(t, 2) and t = isqrt(L - 1) + 1, and, when its b = ceil(L / k)
+    blocks are more than one, b products more: the giant step g^k and one per
+    block past the first.  A constant or linear outer polynomial costs none."""
+    rng = make_rng(14)
+    f = random_monic(ctx, 40, rng)
+    assert isinstance(_modctx(f), _ModCtx) == (ctx.p == 3 and ctx.m == 1)
+    g = random_poly(ctx, 39, rng)
+    for L in range(1, 41):
+        k = max(isqrt(L - 1) + 1, 2)
+        b = -(-L // k)
+        a = random_poly(ctx, L - 1, rng)
+        reset_counters()
+        modcomp(a, g, f)
+        assert counters() == {"mul": k - 2 + (b if b > 1 else 0), "modcomp": 1}, L
     reset_counters()
 
 
@@ -411,15 +435,33 @@ def test_ext_gcd_and_scaling_against_reference(name):
 
 
 @pytest.mark.parametrize("name", EXT)
-def test_ext_modcomp_horner_and_blocks_against_reference(name):
+def test_ext_modcomp_at_short_and_long_outer_lengths_against_reference(name):
     ctx = EXT_FIELDS[name]
     rng = make_rng(ctx.q % 977 + 11)
-    h = HORNER_MAX
-    for df, da in [(6, 5), (h + 3, h - 1), (h + 3, h), (24, 30)]:
+    for df, da in [(6, 5), (19, 15), (19, 16), (24, 30)]:
         f = random_monic(ctx, df, rng)
         a = random_poly(ctx, da, rng)
         g = random_poly(ctx, df - 1, rng)
         assert modcomp(a, g, f) == ref_modcomp(a, g, f), (df, da)
+
+
+def test_const_maps_ints_into_the_field():
+    F3, F9 = field_new(3), EXT_FIELDS["F9"]
+    assert Poly.const(F3, 5) == Poly.const(F3, 2)
+    assert Poly.const(F9, 5) == Poly.const(F9, F9.from_int(2))
+    assert Poly.const(F9, F9.from_int(2)).coeffs == [F9.from_int(2)]
+    rng = make_rng(15)
+    for n in (5, _MODCTX_MIN + 8):  # the list and the packed context
+        f = random_monic(F3, n, rng)
+        g = random_poly(F3, n - 1, rng)
+        assert modcomp(Poly.const(F3, 5), g, f) == from_gf(
+            F3, gf_compose_mod([2], gf(g), gf(f), 3, ZZ))
+        assert powmod(Poly.const(F3, 7), 5, f) == from_gf(
+            F3, gf_pow_mod([1], 5, gf(f), 3, ZZ))
+        f9 = random_monic(F9, n, rng)
+        g9 = random_poly(F9, n - 1, rng)
+        two = Poly.const(F9, F9.from_int(2))
+        assert modcomp(Poly.const(F9, 5), g9, f9) == ref_modcomp(two, g9, f9)
 
 
 @settings(max_examples=40, deadline=None)
