@@ -15,13 +15,11 @@ from . import errors
 from .classical import brute_factor, distinct_degree_parts, irreducibles, splitting_degree
 from .ddf import (
     DdfResult,
-    SmoothFactorization,
     ddf,
     extract_small_degrees,
     frobenius_power_sequence,
     order_with_fallback,
     recursion_audit,
-    smooth_factor,
 )
 from .factor import Factorization, edf, factor, is_irreducible, sff
 from .fields import ExtensionField, FieldCtx, PrimeField, field_new, is_probable_prime
@@ -89,8 +87,6 @@ __all__ = [
     "rational_reconstruct",
     "exact_order",
     "estimate_order",
-    "SmoothFactorization",
-    "smooth_factor",
     "frobenius_power_sequence",
     "extract_small_degrees",
     "order_with_fallback",

@@ -27,9 +27,6 @@ import time
 
 from . import errors
 from .classical import (
-    BRUTE_MAX_DEGREE,
-    BRUTE_MAX_Q,
-    brute_factor,
     distinct_degree_parts,
     order_from_degrees,
     splitting_degree,
@@ -68,7 +65,6 @@ _INPUT_ERRORS = (
     errors.NotSquarefree,
     errors.BadInput,
     errors.TooLarge,
-    errors.NotSmooth,
     errors.BothZero,
     errors.DegreeError,
     errors.FieldMismatch,
@@ -217,11 +213,13 @@ def cmd_order(args) -> int:
     rng = make_rng(seed)
     ctx = _build_field(args, rng)
     f = parse_poly(args.modulus, ctx)
-    endo = frobenius(f).pow(args.power)
+    sigma = frobenius(f)
+    endo = sigma.pow(args.power)
     ell = args.ell if args.ell is not None else default_ell(max(f.degree, 2))
     # The simulation needs the true order; derive it classically from the
     # factor degrees of the modulus.
-    true_order = order_from_degrees([d for (_, d) in distinct_degree_parts(f)], args.power)
+    parts = distinct_degree_parts(f, sigma.image)
+    true_order = order_from_degrees([d for (_, d) in parts], args.power)
     est = _oracle_from(args).estimate(endo, ell, rng, true_order=true_order)
     if args.json:
         _emit_json(
@@ -256,11 +254,6 @@ def cmd_order(args) -> int:
 
 
 def _count_factors(f, with_multiplicity: bool, oracle, rng) -> int:
-    if f.degree <= BRUTE_MAX_DEGREE and f.ctx.q <= BRUTE_MAX_Q:
-        _, fac = brute_factor(f)
-        if with_multiplicity:
-            return sum(m for (_, m) in fac)
-        return len(fac)
     total = 0
     for part, mult in sff(f):
         blocks = ddf(part, oracle=oracle, rng=rng).parts

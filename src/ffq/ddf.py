@@ -5,7 +5,8 @@ every irreducible factor of g has degree divisible by s.  For each item it
 asks the order oracle for the order d of the restricted power-of-Frobenius
 endomorphism sigma^s on F_q[x]/(g); d is the lcm of the values deg(P)/s over
 the irreducible factors P, so gcds against fixed powers of sigma^s split g
-along the prime-power structure of d.  Items whose endomorphism is the
+along the prime-power structure of d, which ``fields.factor_int`` (the
+package's one integer factorizer) supplies.  Items whose endomorphism is the
 identity are exactly the distinct-degree parts (all factors have degree s)
 and are emitted.
 
@@ -32,13 +33,12 @@ from dataclasses import dataclass, field
 
 from . import errors
 from .classical import distinct_degree_parts, ladder, order_from_degrees
+from .fields import factor_int
 from .order import OracleConfig, OrderOracle, cofactor_powers
 from .poly import Endo, Poly, frobenius, frobenius_power_sequence, gcd, x_poly
 from .rng import make_rng
 
 __all__ = [
-    "SmoothFactorization",
-    "smooth_factor",
     "frobenius_power_sequence",
     "extract_small_degrees",
     "order_with_fallback",
@@ -51,121 +51,12 @@ __all__ = [
     "FALLBACK_ESTIMATES",
 ]
 
-# ----------------------------------------------------------------------
-# Smooth integer factorization.
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class SmoothFactorization:
-    """Prime factorization of an n-smooth integer: ascending (prime, exp)."""
-
-    pairs: list[tuple[int, int]]
-
-    @property
-    def value(self) -> int:
-        v = 1
-        for p, e in self.pairs:
-            v *= p**e
-        return v
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-
-_sieve_cache: dict[int, list[int]] = {}
-_tree_cache: dict[int, list[list[int]]] = {}
-
-
-def _primes_upto(n: int) -> list[int]:
-    hit = _sieve_cache.get(n)
-    if hit is not None:
-        return hit
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    primes = [i for i in range(n + 1) if sieve[i]]
-    _sieve_cache[n] = primes
-    return primes
-
-
-def _subproduct_tree(n: int) -> list[list[int]]:
-    hit = _tree_cache.get(n)
-    if hit is not None:
-        return hit
-    level = list(_primes_upto(n))
-    levels = [level]
-    while len(level) > 1:
-        nxt = [level[i] * level[i + 1] for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        levels.append(nxt)
-        level = nxt
-    _tree_cache[n] = levels
-    return levels
-
-
-def smooth_factor(d: int, n: int, method: str = "auto") -> SmoothFactorization:
-    """Factor an n-smooth positive integer d; NotSmooth if a factor exceeds n.
-
-    ``method``: "trial" divides by every prime up to n; "tree" pushes d down
-    a subproduct tree of the primes, touching d only O(log) times, which wins
-    when d is a huge integer; "auto" picks by the size of d.
-    """
-    if d < 1:
-        raise errors.BadInput("need d >= 1")
-    if d == 1:
-        return SmoothFactorization([])
-    if n < 2:
-        raise errors.NotSmooth(f"{d} has a prime factor above {n}")
-    if method == "auto":
-        method = "trial" if d < (1 << 64) else "tree"
-    if method == "trial":
-        hits = []
-        rem = d
-        for p in _primes_upto(n):
-            if p * p > rem:
-                break
-            if rem % p == 0:
-                e = 0
-                while rem % p == 0:
-                    rem //= p
-                    e += 1
-                hits.append((p, e))
-        if rem > 1:
-            if rem <= n:
-                hits.append((rem, 1))
-                hits.sort()
-            else:
-                raise errors.NotSmooth(f"{d} has the factor {rem} above {n}")
-        return SmoothFactorization(hits)
-    if method != "tree":
-        raise errors.BadInput(f"unknown method {method!r}")
-    levels = _subproduct_tree(n)
-    if not levels[0]:
-        raise errors.NotSmooth(f"{d} has a prime factor above {n}")
-    rems = [d % levels[-1][0]]
-    for lvl in range(len(levels) - 2, -1, -1):
-        cur = levels[lvl]
-        nxt_rems = []
-        for i, val in enumerate(cur):
-            parent = rems[i // 2]
-            nxt_rems.append(parent % val)
-        rems = nxt_rems
-    hits = []
-    rem = d
-    for p, r in zip(levels[0], rems):
-        if r == 0:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            hits.append((p, e))
-    if rem != 1:
-        raise errors.NotSmooth(f"{d} has a prime factor above {n}")
-    return SmoothFactorization(hits)
+# Inert: the engine factors orders with ``fields.factor_int`` and keeps no
+# tables.  Kept only because the benchmark's span recorder (perfbench/spans.py
+# MEMO_TABLES and its ddf.smooth_tree_calls counter) resolves them by name.
+_sieve_cache: dict = {}
+_tree_cache: dict = {}
+_subproduct_tree = None
 
 
 # ----------------------------------------------------------------------
@@ -382,8 +273,8 @@ def ddf(
         if d == 1:
             emit(g2, s)
             continue
-        fac = smooth_factor(d, n)
-        rec["primes"] = [[p, e] for (p, e) in fac.pairs]
+        fac = sorted(factor_int(d).items())
+        rec["primes"] = [[p, e] for (p, e) in fac]
         tau0, taus = powers if powers is not None else cofactor_powers(s_endo2, d)
         g0 = gcd(tau0.image - x, g2)
         if g0.degree > 0:
@@ -392,7 +283,7 @@ def ddf(
         if h.degree > 0:
             g_prev = h
             k_run = 1
-            for p_i, e_i in fac.pairs:
+            for p_i, e_i in fac:
                 if g_prev.degree == 0:
                     break
                 g_i = gcd(taus[p_i].image - x, g_prev)

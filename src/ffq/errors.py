@@ -49,10 +49,6 @@ class CapExceeded(FfqError, RuntimeError):
     """Iterated order search walked past its cap."""
 
 
-class NotSmooth(FfqError, ValueError):
-    """Integer has a prime factor above the smoothness bound."""
-
-
 class OracleExhausted(FfqError, RuntimeError):
     """Order oracle failed twice (primary and fallback estimates)."""
 

@@ -16,7 +16,8 @@ Extension moduli are tested with the classical Rabin criterion on ``Poly``
 over the prime field, so F_p[y] arithmetic has one implementation, in
 poly.py.  Integer arithmetic also lives here, in one place for the package:
 Miller-Rabin primality and ``factor_int`` (trial division plus Pollard rho),
-which both Rabin's test and the order oracle use.
+the package's one integer factorizer: Rabin's test, the order oracle and the
+distinct-degree engine, which splits along the primes of each order, use it.
 """
 
 from __future__ import annotations

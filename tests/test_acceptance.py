@@ -14,8 +14,9 @@ import pytest
 
 from ffq import errors, field_new
 from ffq.classical import brute_factor, distinct_degree_parts
-from ffq.ddf import ddf, recursion_audit, smooth_factor
+from ffq.ddf import ddf, recursion_audit
 from ffq.factor import factor, sff
+from ffq.fields import factor_int
 from ffq.order import (
     MODE_EXACT_DIST,
     OracleConfig,
@@ -179,12 +180,27 @@ def test_06_fallback_strips_then_succeeds(capfd):
 
 
 def test_07_smooth_factorization_methods_agree(capfd):
+    # The engine factors each order d with factor_int; every order is
+    # deg-smooth.  Check factor_int against trial division by the sieve primes.
     sieve = np.ones(1001, dtype=bool)
     sieve[:2] = False
     for i in range(2, 32):
         if sieve[i]:
             sieve[i * i:: i] = False
     primes = [int(i) for i in np.flatnonzero(sieve)]
+
+    def trial_division(d):
+        pairs = []
+        for p in primes:
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            if e:
+                pairs.append((p, e))
+        assert d == 1
+        return pairs
+
     rng = make_rng(1729)
     checked = 0
     bad = 0
@@ -195,13 +211,12 @@ def test_07_smooth_factorization_methods_agree(capfd):
             if d * step > 10**9:
                 break
             d *= step
-        a = smooth_factor(d, 1000, method="trial")
-        b = smooth_factor(d, 1000, method="tree")
-        if a.pairs != b.pairs or a.value != d:
+        if sorted(factor_int(d).items()) != trial_division(d):
             bad += 1
         checked += 1
     report(capfd, bad == 0, "smooth factorization",
-           f"{checked - bad}/{checked} random 1000-smooth values: tree == trial division")
+           f"{checked - bad}/{checked} random 1000-smooth values: "
+           f"factor_int == trial division")
 
 
 def test_08_factor_count_statistics(capfd):

@@ -8,8 +8,11 @@ from importlib.resources import files
 import jsonschema
 import pytest
 
-from ffq import errors
+from ffq import errors, field_new
+from ffq.classical import brute_factor
 from ffq.cli import main
+from ffq.poly import random_monic
+from ffq.rng import trial_rng
 
 
 def load_schema(name):
@@ -198,6 +201,30 @@ def test_stats_factor_count_is_prefix_stable(capsys):
     assert small["trials"] == 30 and large["trials"] == 60
     total_small = sum(int(k) * v for k, v in small["histogram"].items())
     assert total_small == round(small["mean"] * 30)
+
+
+@pytest.mark.parametrize("field_args, ctx_args, n", [
+    (["--p", "2"], (2,), 8),
+    (["--p", "3"], (3,), 7),
+    (["--p", "3", "--m", "2", "--h", "y^2+1"], (3, 2, [1, 0, 1]), 5),
+])
+@pytest.mark.parametrize("with_multiplicity", [False, True])
+def test_stats_factor_count_matches_brute_force(capsys, field_args, ctx_args, n,
+                                                with_multiplicity):
+    seed, trials = 4, 40
+    args = ["stats", "factor-count", *field_args, "--n", str(n),
+            "--trials", str(trials), "--seed", str(seed), "--json"]
+    if with_multiplicity:
+        args.append("--with-multiplicity")
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    ctx = field_new(*ctx_args)
+    expected = {}
+    for i in range(trials):
+        _, fac = brute_factor(random_monic(ctx, n, trial_rng(seed, i)))
+        c = sum(m for _, m in fac) if with_multiplicity else len(fac)
+        expected[str(c)] = expected.get(str(c), 0) + 1
+    assert payload["histogram"] == expected
 
 
 def test_stats_splitting_degree_tiny_case(capsys):

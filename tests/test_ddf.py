@@ -7,7 +7,6 @@ import pytest
 from ffq import counters, errors, field_new
 from ffq.classical import BLOCK_MIN, distinct_degree_parts
 from ffq.ddf import (
-    SmoothFactorization,
     ddf,
     default_ell,
     extract_small_degrees,
@@ -16,7 +15,6 @@ from ffq.ddf import (
     frobenius_power_sequence,
     order_with_fallback,
     recursion_audit,
-    smooth_factor,
 )
 from ffq.order import OracleConfig, OrderEstimate, OrderOracle, cofactor_powers
 from ffq.poly import Poly, frobenius, random_monic, random_squarefree
@@ -28,40 +26,6 @@ F2 = field_new(2)
 F3 = field_new(3)
 F5 = field_new(5)
 F9 = field_new(3, 2, [1, 0, 1])
-
-
-def test_smooth_factor_fixed_cases():
-    assert smooth_factor(12, 5).pairs == [(2, 2), (3, 1)]
-    assert smooth_factor(1, 5).pairs == []
-    assert smooth_factor(2**10 * 3**5 * 997, 1000).value == 2**10 * 3**5 * 997
-    with pytest.raises(errors.NotSmooth):
-        smooth_factor(2 * 1009, 1000)
-    with pytest.raises(errors.NotSmooth):
-        smooth_factor(1009 * 1013, 1000)
-    with pytest.raises(errors.BadInput):
-        smooth_factor(0, 10)
-
-
-def test_smooth_factor_methods_agree():
-    rng = make_rng(101)
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-    for _ in range(200):
-        d = 1
-        for _ in range(int(rng.integers(1, 9))):
-            d *= primes[int(rng.integers(0, len(primes)))]
-        a = smooth_factor(d, 50, method="trial")
-        b = smooth_factor(d, 50, method="tree")
-        assert a.pairs == b.pairs
-        assert a.value == d
-        ps = [p for p, _ in a.pairs]
-        assert ps == sorted(ps) and len(set(ps)) == len(ps)
-
-
-def test_smooth_factor_huge_value_uses_the_tree():
-    d = (2**200) * (3**100) * (97**31)
-    fac = smooth_factor(d, 100)
-    assert fac.pairs == [(2, 200), (3, 100), (97, 31)]
-    assert fac.value == d
 
 
 def test_frobenius_power_sequence_matches_direct_powers():
@@ -364,7 +328,29 @@ def test_ddf_many_prime_degrees_need_no_fallback():
     assert not any(rec["fallback"] for rec in trace)
 
 
-def test_smooth_factorization_type_invariants():
-    fac = SmoothFactorization([(2, 3), (5, 1)])
-    assert fac.value == 40
-    assert list(fac) == [(2, 3), (5, 1)]
+def _is_prime(p):
+    return p >= 2 and all(p % k for k in range(2, math.isqrt(p) + 1))
+
+
+def test_ddf_trace_primes_factor_each_order():
+    # Each item splits along the primes of its order d, which divides the lcm
+    # of factor degrees, so every prime is at most the item's degree.
+    rng = make_rng(191)
+    F101 = field_new(101)
+    cases = [(ctx, random_squarefree(ctx, n, rng), None)
+             for ctx, n in [(F3, 64), (F101, 30), (F9, 17)]]
+    polys = distinct_irreducibles(F2, [1, 7], rng)
+    cases.append((F2, product(F2, polys), 1))
+    for ctx, f, ell in cases:
+        trace = []
+        res = ddf(f, OrderOracle(OracleConfig()), rng, ell=ell, trace=trace)
+        assert res.parts == distinct_degree_parts(f)
+        split = [rec for rec in trace if rec["d"] > 1]
+        assert split, (ctx, f.degree)
+        for rec in split:
+            ps = [p for p, _ in rec["primes"]]
+            assert ps == sorted(set(ps))
+            assert all(_is_prime(p) and p <= rec["input_degree"] for p in ps)
+            assert math.prod(p**e for p, e in rec["primes"]) == rec["d"]
+        if ell == 1:
+            assert any(rec["fallback"] for rec in trace)
