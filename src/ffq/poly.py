@@ -36,13 +36,15 @@ an m-lane integer.
 Arithmetic modulo f runs in a reduction context from ``_modctx``.
 ``mulmod``, ``powmod``, ``frobenius`` and ``modcomp`` are written once over
 its primitives: residue in and out, packing, product, shift by x, add and
-block sums.  Over a prime field whose products fit 64-bit lanes, a monic f
-of degree at least ``_MODCTX_MIN`` gets the packed ``_ModCtx``, built once
-and cached on f.  Its residues stay numpy int64 lanes between products and
-become lists only when they leave as a ``Poly``; a modular product is three
-big-integer products, against f's low part and the Newton inverse of
-reversed f, both packed once.  Every other f gets ``_PolyCtx``, whose
-residues are reduced ``Poly`` values and whose product is (a * b) % f.
+block sums.  Over a prime field with p < 2^62, a monic f of degree at least
+``_MODCTX_MIN`` gets the packed ``_ModCtx``, built once and cached on f.
+Its residues stay numpy int64 arrays between products and become lists
+only when they leave as a ``Poly``; a modular product is three big-integer
+products, against f's low part and the Newton inverse of reversed f, both
+packed once, in numpy lanes where products fit 64 bits and in byte lanes
+otherwise.  Every other f (over F_{p^m}, with p >= 2^62, non-monic, or of
+lower degree) gets ``_PolyCtx``, whose residues are reduced ``Poly`` values
+and whose product is (a * b) % f.
 
 The Frobenius image x^q mod f is computed by square-and-shift: a set bit
 of q costs a shift and one reduction step, not a product.  Endomorphism
@@ -81,7 +83,7 @@ __all__ = [
     "counters",
 ]
 
-SCHOOLBOOK_MAX = 16  # below this length, schoolbook multiplication wins
+SCHOOLBOOK_MAX = 8  # up to this length, schoolbook multiplication wins
 _FAST_DIV_MIN_QUOTIENT = 16
 _FAST_DIV_MIN_DIVISOR = 32
 # Over F_{p^m}, Newton division wins once the divisor length and the
@@ -89,10 +91,11 @@ _FAST_DIV_MIN_DIVISOR = 32
 # F_{(2^31-1)^2}).
 _FAST_DIV_EXT_MIN = 8
 # Modular products, powers and compositions mod a monic f of at least this
-# degree use the packed reduction context ``_ModCtx`` over prime fields whose
-# products fit 64-bit lanes.  Timed over F_3, F_101 and F_65537, its mulmod
-# loses to (a * b) % f at degree 10 over F_3 and wins from degree 12 on.
-_MODCTX_MIN = 12
+# degree use the packed reduction context ``_ModCtx`` over prime fields with
+# p < 2^62.  Timed per product with both contexts built, packed loses to
+# (a * b) % f at degree 7 over F_{2^31-1} and F_{2^61-1} (byte lanes) and
+# wins from degree 8 on over those, F_3 and F_101.
+_MODCTX_MIN = 8
 
 _counters = {"mul": 0, "modcomp": 0}
 
@@ -150,7 +153,18 @@ def _unpack(v: int, n: int, wb: int, dt, p: int) -> list[int]:
     if dt is not None:
         lanes = np.frombuffer(buf, dtype=dt, count=n)
         return (lanes.astype(np.int64) % p).tolist()
-    return [int.from_bytes(buf[i : i + wb], "little") % p for i in range(0, n * wb, wb)]
+    return _byte_lanes(buf, n, wb, p)
+
+
+def _byte_lanes(buf: bytes, n: int, wb: int, p: int) -> list[int]:
+    """The lowest ``n`` lanes of ``wb`` bytes in ``buf``, each reduced mod p.
+
+    numpy splits the lanes as ``S`` items, which drop trailing zero bytes:
+    the high bytes of a little-endian lane, so no value changes.
+    """
+    from_bytes = int.from_bytes
+    lanes = np.frombuffer(buf, dtype=f"S{wb}", count=n).tolist()
+    return [from_bytes(c, "little") % p for c in lanes]
 
 
 def _mul_int(a: list[int], b: list[int], p: int) -> list[int]:
@@ -624,33 +638,35 @@ def powmod(a: Poly, e: int, f: Poly) -> Poly:
 def _modctx(f: Poly, terms: int = 1):
     """The reduction context for arithmetic modulo the nonzero ``f``.
 
-    The packed ``_ModCtx`` applies to monic f over a prime field of degree at
-    least ``_MODCTX_MIN`` whose products fit 64-bit lanes, and is built once
-    per modulus.  Its lanes hold sums of at most n = deg f products, so
-    block sums of more ``terms`` than that, and every other f, get the list
-    context ``_PolyCtx``.
+    The packed ``_ModCtx`` applies to monic f of degree at least
+    ``_MODCTX_MIN`` over a prime field with p < 2^62, and is built once per
+    modulus.  Its lanes hold sums of at most n = deg f products, so block
+    sums of more ``terms`` than that, and every other f (over F_{p^m}, with
+    p >= 2^62, non-monic or of lower degree), get the list context
+    ``_PolyCtx``.
     """
     mc = f._mod
     if mc is None:
         mc = False
         n = len(f.coeffs) - 1
-        if f.ctx.m == 1 and n >= _MODCTX_MIN and f.coeffs[-1] == 1:
-            wb, dt = _pack_width(n, f.ctx.p)
-            if dt is not None:
-                mc = _ModCtx(f, wb, dt)
+        if f.ctx.m == 1 and n >= _MODCTX_MIN and f.coeffs[-1] == 1 and f.ctx.p < 1 << 62:
+            mc = _ModCtx(f, *_pack_width(n, f.ctx.p))
         f._mod = mc
     return mc if mc and terms <= mc.n else _PolyCtx(f)
 
 
 class _ModCtx:
-    """Residues modulo a monic f of degree n over F_p, as packed lanes.
+    """Residues modulo a monic f of degree n over F_p, p < 2^62, as packed lanes.
 
-    A residue is a numpy int64 array of n reduced coefficients.  f's low n
-    coefficients and the Newton inverse of reversed f modulo x^(n-1) are
-    packed once, so a modular product is three big-integer products: a*b,
-    its reversed top half times the inverse (the quotient), and the quotient
-    times f's low part.  A lane holds n products of two coefficients, enough
-    for every one of them and for Brent-Kung block sums of at most n terms.
+    A residue is a numpy int64 array of n reduced coefficients; p < 2^62
+    keeps the sum of two of them inside int64.  f's low n coefficients and
+    the Newton inverse of reversed f modulo x^(n-1) are packed once, so a
+    modular product is three big-integer products: a*b, its reversed top
+    half times the inverse (the quotient), and the quotient times f's low
+    part.  A lane holds n products of two coefficients, enough for every one
+    of them and for Brent-Kung block sums of at most n terms.  Lanes of at
+    most 64 bits (``dt`` set) are numpy lanes; wider ones are byte lanes of
+    ``wb`` bytes (``dt`` None), unpacked and reduced through Python ints.
     """
 
     __slots__ = ("ctx", "p", "n", "wb", "dt", "f", "low", "flow", "finv")
@@ -666,12 +682,20 @@ class _ModCtx:
         self.finv = self.pack(np.array(inv, dtype=np.int64))
 
     def pack(self, a: np.ndarray) -> int:
+        if self.dt is None:
+            # Each residue's 8 little-endian bytes, zero-padded to a byte lane.
+            buf = np.zeros((len(a), self.wb), dtype=np.uint8)
+            buf[:, :8].view("<i8")[:, 0] = a
+            return int.from_bytes(buf.tobytes(), "little")
         return int.from_bytes(a.astype(self.dt).tobytes(), "little")
 
     def lanes(self, v: int, k: int) -> np.ndarray:
-        """The lowest ``k`` lanes of ``v``, unreduced."""
+        """The lowest ``k`` lanes of ``v``: unreduced numpy lanes, or byte
+        lanes reduced mod p, since those need not fit int64."""
         wb = self.wb
         buf = v.to_bytes(max(k * wb, (v.bit_length() + 7) // 8), "little")
+        if self.dt is None:
+            return np.array(_byte_lanes(buf, k, wb, self.p), dtype=np.int64)
         return np.frombuffer(buf, dtype=self.dt, count=k).astype(np.int64)
 
     def residue(self, a: Poly) -> np.ndarray:
@@ -709,7 +733,13 @@ class _ModCtx:
         out[0] = 0
         out[1:] = a[:-1]
         top = a[-1]
-        return (out - top * self.low) % self.p if top else out
+        if not top:
+            return out
+        if self.dt is None:  # top * low may pass int64: form it in Python ints
+            t, p = int(top), self.p
+            out = [(x - t * y) % p for x, y in zip(out.tolist(), self.f)]
+            return np.array(out, dtype=np.int64)
+        return (out - top * self.low) % self.p
 
     def blocks(self, coeffs: list[int], powers: list[int]) -> list[np.ndarray]:
         """``_dots`` of coeffs and the packed powers g^j, j < t <= n, as residues."""

@@ -8,9 +8,11 @@ x-coefficient reduced by h with galoistools.  Sizes straddle the schoolbook
 and fast-division thresholds, and the fields reach every lane width the
 Kronecker multiply can pick: 16, 32 and 64-bit numpy lanes and byte lanes
 above 64 bits.  The packed reduction context (products, powers, x^q and
-compositions modulo a fixed monic f) is checked at the same lane edges and
-on both sides of its degree threshold, with compositions by outer
-polynomials from the constants up past n^2 coefficients.
+compositions modulo a fixed monic f) serves prime fields with p < 2^62 on
+numpy and byte lanes alike; it is checked at the same lane edges, on both
+sides of its degree threshold and of p = 2^62 (larger p, up to 2^127 - 1,
+take the list context), with compositions by outer polynomials from the
+constants up past n^2 coefficients.
 """
 
 from math import isqrt
@@ -214,11 +216,11 @@ def test_modular_kernels_at_lane_edges_and_the_context_threshold(bits):
         inside, outside = lane_edge_primes(n, bits)
         for p in (inside, outside):
             ctx = field_new(p)
-            wb, dt = _pack_width(n, p)
+            wb = _pack_width(n, p)[0]
             assert (wb == bits // 8) == (p == inside)
             worst = Poly(ctx, [p - 1] * n)
             f = Poly(ctx, [p - 1] * n + [1])
-            assert isinstance(_modctx(f), _ModCtx) == (n >= _MODCTX_MIN and dt is not None)
+            assert isinstance(_modctx(f), _ModCtx) == (n >= _MODCTX_MIN and p < 2**62)
             check_modular(worst, worst, f)
             # isqrt(n * n - 1) = n - 1: Brent-Kung blocks of n worst-case
             # terms, the most the context's lanes take.  One coefficient
@@ -230,6 +232,27 @@ def test_modular_kernels_at_lane_edges_and_the_context_threshold(bits):
             check_modular(random_poly(ctx, n - 1, rng), random_poly(ctx, n - 1, rng), g)
             # Operands that are not reduced mod f.
             check_modular(random_poly(ctx, 2 * n, rng), random_poly(ctx, n + 3, rng), g)
+
+
+@pytest.mark.parametrize(
+    "p, packed",
+    [(prevprime(1 << 62), True), (nextprime(1 << 62), False), (prevprime(1 << 63), False),
+     ((1 << 127) - 1, False)]
+    + [(q, True) for q in lane_edge_primes(_MODCTX_MIN, 64)],
+    ids=["below-2^62", "above-2^62", "below-2^63", "2^127-1", "u8-lanes", "byte-lanes"],
+)
+def test_modular_kernels_at_the_int64_residue_bound(p, packed):
+    """All-(p - 1) operands on both sides of p = 2^62, the bound that keeps
+    residues and sums of two residues inside int64, below 2^63, where such
+    sums overflow, and on both sides of the 64-bit lane edge, where the
+    context's lanes turn from numpy to bytes."""
+    ctx = field_new(p)
+    for n in (_MODCTX_MIN, 20):
+        worst = Poly(ctx, [p - 1] * n)
+        f = Poly(ctx, [p - 1] * n + [1])
+        assert isinstance(_modctx(f), _ModCtx) == packed
+        check_modular(worst, worst, f)
+        check_modular(Poly(ctx, [p - 1] * (n * n)), worst, f)
 
 
 @pytest.mark.parametrize("p", [3, 101, 65537])
@@ -260,7 +283,7 @@ def test_modcomp_in_the_context_at_short_and_long_outer_lengths(p):
 def test_context_counts_one_product_per_modular_product(ctx):
     rng = make_rng(13)
     f = random_monic(ctx, 32, rng)
-    assert isinstance(_modctx(f), _ModCtx) == (ctx.p == 3 and ctx.m == 1)
+    assert isinstance(_modctx(f), _ModCtx) == (ctx.m == 1 and ctx.p < 2**62)
     a, g = random_poly(ctx, 31, rng), random_poly(ctx, 31, rng)
     reset_counters()
     mulmod(a, g, f)
@@ -286,7 +309,7 @@ def test_modcomp_counts_brent_kung_products_at_every_outer_length(ctx):
     block past the first.  A constant or linear outer polynomial costs none."""
     rng = make_rng(14)
     f = random_monic(ctx, 40, rng)
-    assert isinstance(_modctx(f), _ModCtx) == (ctx.p == 3 and ctx.m == 1)
+    assert isinstance(_modctx(f), _ModCtx) == (ctx.m == 1 and ctx.p < 2**62)
     g = random_poly(ctx, 39, rng)
     for L in range(1, 41):
         k = max(isqrt(L - 1) + 1, 2)
