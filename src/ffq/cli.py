@@ -1,7 +1,7 @@
 """Batch command-line interface.
 
-Subcommands: factor, ddf, order, stats factor-count, stats splitting-degree,
-bench.  Results go to stdout (JSON with --json, plain text otherwise); the
+Subcommands: factor, ddf, order, stats factor-count, stats splitting-degree.
+Results go to stdout (JSON with --json, plain text otherwise); the
 --verbose flag streams per-step trace records to stderr as JSON lines.
 
 Exit codes: 0 success, 1 parse/input error, 2 invariant violation (a bug),
@@ -17,13 +17,11 @@ prefix-stable when --trials grows.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import secrets
 import sys
-import time
 
 from . import errors
 from .classical import (
@@ -31,7 +29,7 @@ from .classical import (
     order_from_degrees,
     splitting_degree,
 )
-from .ddf import ddf, default_ell, recursion_audit
+from .ddf import ddf, default_ell
 from .factor import factor, sff
 from .fields import field_new
 from .order import (
@@ -42,7 +40,7 @@ from .order import (
     OracleConfig,
     OrderOracle,
 )
-from .poly import counters, frobenius, random_monic, random_squarefree, reset_counters
+from .poly import frobenius, random_monic, random_squarefree
 from .rng import make_rng, trial_rng
 from .textio import (
     format_base_modulus,
@@ -342,40 +340,6 @@ def cmd_stats_splitting_degree(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    seed = _resolve_seed(args)
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-    except ValueError:
-        raise errors.ParseError(f"bad --sizes list: {args.sizes!r}")
-    if not sizes or any(n < 1 for n in sizes):
-        raise errors.ParseError("--sizes needs positive integers")
-    ctx = _build_field(args, make_rng(seed))
-    oracle = _oracle_from(args)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "compositions", "multiplications", "wall_ms", "depth", "fallbacks"])
-    for idx, n in enumerate(sizes):
-        rng = trial_rng(seed, idx)
-        f = random_squarefree(ctx, n, rng)
-        trace = []
-        reset_counters()
-        t0 = time.perf_counter()
-        ddf(f, oracle=oracle, rng=rng, ell=args.ell, trace=trace)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        stats = counters()
-        writer.writerow(
-            [
-                n,
-                stats["modcomp"],
-                stats["mul"],
-                f"{wall_ms:.2f}",
-                recursion_audit(trace),
-                sum(1 for rec in trace if rec["fallback"]),
-            ]
-        )
-    return EXIT_OK
-
-
 # ----------------------------------------------------------------------
 # Parser construction and dispatch.
 # ----------------------------------------------------------------------
@@ -466,14 +430,6 @@ def build_parser() -> _Parser:
     p_sd.add_argument("--trials", type=positive_int, default=1000)
     _add_common_args(p_sd)
     p_sd.set_defaults(func=cmd_stats_splitting_degree)
-
-    p_bench = sub.add_parser("bench", help="instrumented ddf scaling sweep")
-    _add_field_args(p_bench)
-    p_bench.add_argument("--sizes", type=str, default="32,64,128", help="comma-separated degrees")
-    p_bench.add_argument("--ell", type=int, default=None)
-    _add_oracle_args(p_bench)
-    _add_common_args(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -50,7 +50,8 @@ class CapExceeded(FfqError, RuntimeError):
 
 
 class OracleExhausted(FfqError, RuntimeError):
-    """Order oracle failed twice (primary and fallback estimates)."""
+    """Order oracle failed: the first estimate and all
+    ``ddf.FALLBACK_ESTIMATES`` estimates after the strip found no order."""
 
 
 class InvariantViolation(FfqError, RuntimeError):

@@ -25,26 +25,26 @@ F_p product of the flattened lists.
 Division is schoolbook with lazy reduction: each step subtracts c*b from
 the running remainder without reducing it, and only the step's leading
 coefficient and the final remainder are reduced (over F_{p^m} the
-subtraction is a y-convolution on the lanes).  Division by large monic
-divisors uses a cached Newton series inverse of the reversed divisor,
-making repeated reduction modulo a fixed polynomial quasi-linear after the
-first call.  Euclid runs its whole remainder chain on raw lists.  Every
-modular composition is Brent-Kung baby-step/giant-step, whose block sums
-are packed big-integer dot products; over F_{p^m} each scalar is packed as
-an m-lane integer.
+subtraction is a y-convolution on the lanes).  Euclid runs its whole
+remainder chain on raw lists.  Every modular composition is Brent-Kung
+baby-step/giant-step, whose block sums are packed big-integer dot products;
+over F_{p^m} each scalar is packed as an m-lane integer.
 
-Arithmetic modulo f runs in a reduction context from ``_modctx``.
-``mulmod``, ``powmod``, ``frobenius`` and ``modcomp`` are written once over
-its primitives: residue in and out, packing, product, shift by x, add and
-block sums.  Over a prime field with p < 2^62, a monic f of degree at least
-``_MODCTX_MIN`` gets the packed ``_ModCtx``, built once and cached on f.
-Its residues stay numpy int64 arrays between products and become lists
-only when they leave as a ``Poly``; a modular product is three big-integer
-products, against f's low part and the Newton inverse of reversed f, both
-packed once, in numpy lanes where products fit 64 bits and in byte lanes
-otherwise.  Every other f (over F_{p^m}, with p >= 2^62, non-monic, or of
-lower degree) gets ``_PolyCtx``, whose residues are reduced ``Poly`` values
-and whose product is (a * b) % f.
+Arithmetic modulo f runs in a reduction context from ``_modctx``, built
+once per modulus for f.monic() and cached on f.  ``mulmod``, ``powmod``,
+``frobenius`` and ``modcomp`` are written once over its primitives:
+residue in and out, packing, product, shift by x, add and block sums.  The
+contexts are the only code that reduces by a Newton inverse.  Over a prime
+field with p < 2^62, f of degree at least ``_MODCTX_MIN`` gets the packed
+``_ModCtx``.  Its residues stay numpy int64 arrays between products and
+become lists only when they leave as a ``Poly``; a modular product is three
+big-integer products, against f's low part and the Newton inverse of
+reversed f, both packed once, in numpy lanes where products fit 64 bits and
+in byte lanes otherwise.  Every other f (over F_{p^m}, with p >= 2^62, or
+of lower degree) gets ``_PolyCtx``, whose residues are reduced ``Poly``
+values and whose product a * b is reduced by the Newton inverse of reversed
+f, held by the context, from degree ``_NEWTON_MIN`` over F_p and
+``_NEWTON_EXT_MIN`` over F_{p^m}, and by schoolbook division below them.
 
 The Frobenius image x^q mod f is computed by square-and-shift: a set bit
 of q costs a shift and one reduction step, not a product.  Endomorphism
@@ -84,18 +84,19 @@ __all__ = [
 ]
 
 SCHOOLBOOK_MAX = 8  # up to this length, schoolbook multiplication wins
-_FAST_DIV_MIN_QUOTIENT = 16
-_FAST_DIV_MIN_DIVISOR = 32
-# Over F_{p^m}, Newton division wins once the divisor length and the
-# quotient degree both reach this (timed over F_4, F_9, F_{2^8} and
-# F_{(2^31-1)^2}).
-_FAST_DIV_EXT_MIN = 8
-# Modular products, powers and compositions mod a monic f of at least this
-# degree use the packed reduction context ``_ModCtx`` over prime fields with
+# Modular products, powers and compositions mod f of at least this degree
+# use the packed reduction context ``_ModCtx`` over prime fields with
 # p < 2^62.  Timed per product with both contexts built, packed loses to
 # (a * b) % f at degree 7 over F_{2^31-1} and F_{2^61-1} (byte lanes) and
 # wins from degree 8 on over those, F_3 and F_101.
 _MODCTX_MIN = 8
+# The list context ``_PolyCtx`` reduces a product of two residues by the
+# Newton inverse of reversed f from these degrees of f on, over F_p and over
+# F_{p^m}.  Timed per reduction against schoolbook division, Newton breaks
+# even near degree 24 over F_{2^127-1} (12 over F_{nextprime(2^62)}) and
+# near degree 8 over F_4, F_9 and F_{(2^31-1)^2} (5 over F_{2^8}).
+_NEWTON_MIN = 24
+_NEWTON_EXT_MIN = 8
 
 _counters = {"mul": 0, "modcomp": 0}
 
@@ -283,7 +284,7 @@ def _divmod_ext(a: list, b: list, ctx: FieldCtx) -> tuple[list, list]:
 
 
 # ----------------------------------------------------------------------
-# Newton series inversion for fast division (prime fields).
+# Newton series inversion, for reduction by a fixed modulus.
 # ----------------------------------------------------------------------
 
 
@@ -322,7 +323,7 @@ def _series_inv_ext(c: list, prec: int, ctx: FieldCtx) -> list[tuple]:
 class Poly:
     """Immutable-by-convention dense polynomial over a field context."""
 
-    __slots__ = ("ctx", "coeffs", "_red", "_mod")
+    __slots__ = ("ctx", "coeffs", "_mod")
 
     def __init__(self, ctx: FieldCtx, coeffs: list, normalize: bool = True):
         self.ctx = ctx
@@ -332,8 +333,7 @@ class Poly:
             while coeffs and coeffs[-1] == zero:
                 coeffs.pop()
         self.coeffs = coeffs
-        self._red = None  # cached (precision, series inverse) for division
-        self._mod = None  # cached _ModCtx as a modulus, or False where none applies
+        self._mod = None  # cached reduction context as a modulus (``_modctx``)
 
     # -- constructors ---------------------------------------------------
 
@@ -496,56 +496,13 @@ class Poly:
         ctx = self.ctx
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        la, lb = len(self.coeffs), len(other.coeffs)
-        if la < lb:
+        if len(self.coeffs) < len(other.coeffs):
             return Poly.zero(ctx), self
-        if ctx.m != 1:
-            if (
-                other.coeffs[-1] == ctx.one
-                and lb >= _FAST_DIV_EXT_MIN
-                and la - lb >= _FAST_DIV_EXT_MIN
-            ):
-                return self._divmod_fast(other)
-            q, r = _divmod_ext(self.coeffs, other.coeffs, ctx)
-            return Poly(ctx, q, normalize=False), Poly(ctx, r, normalize=False)
-        if (
-            other.coeffs[-1] == 1
-            and lb >= _FAST_DIV_MIN_DIVISOR
-            and la - lb >= _FAST_DIV_MIN_QUOTIENT
-        ):
-            return self._divmod_fast(other)
-        q, r = _divmod_int(self.coeffs, other.coeffs, ctx.p)
-        return Poly(ctx, q, normalize=False), Poly(ctx, r, normalize=False)
-
-    def _divmod_fast(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Division by a monic divisor through a cached Newton inverse."""
-        ctx = self.ctx
-        a = self.coeffs
-        b = other.coeffs
-        k = len(a) - len(b) + 1
-        cached = other._red
-        if cached is None or cached[0] < k:
-            if ctx.m == 1:
-                inv = _series_inv(b[::-1], k, ctx.p)
-            else:
-                inv = _series_inv_ext(b[::-1], k, ctx)
-            other._red = (k, inv)
-        else:
-            inv = cached[1][:k]
-        lb = len(b) - 1
         if ctx.m == 1:
-            p = ctx.p
-            q = _mul_trunc_int(a[::-1], inv, k, p)[::-1]
-            qb = _mul_int(q, b, p)
-            r = [(a[i] - qb[i]) % p for i in range(lb)]
-            return Poly(ctx, q), Poly(ctx, r)
-        q = _mul_ext(a[::-1][:k], inv, ctx)[:k][::-1]
-        # Only the low lb coefficients of q*b are needed, and they come from
-        # the low lb coefficients of each factor.
-        qb = _mul_int(_flat(q[:lb], ctx.m), _flat(b[:lb], ctx.m), ctx.p)
-        low = _flat(a[:lb], ctx.m) + [0] * (ctx.m - 1)
-        r = _fold([x - y for x, y in zip(low, qb)], ctx)
-        return Poly(ctx, q), Poly(ctx, r)
+            q, r = _divmod_int(self.coeffs, other.coeffs, ctx.p)
+        else:
+            q, r = _divmod_ext(self.coeffs, other.coeffs, ctx)
+        return Poly(ctx, q, normalize=False), Poly(ctx, r, normalize=False)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -638,21 +595,26 @@ def powmod(a: Poly, e: int, f: Poly) -> Poly:
 def _modctx(f: Poly, terms: int = 1):
     """The reduction context for arithmetic modulo the nonzero ``f``.
 
-    The packed ``_ModCtx`` applies to monic f of degree at least
-    ``_MODCTX_MIN`` over a prime field with p < 2^62, and is built once per
-    modulus.  Its lanes hold sums of at most n = deg f products, so block
-    sums of more ``terms`` than that, and every other f (over F_{p^m}, with
-    p >= 2^62, non-monic or of lower degree), get the list context
-    ``_PolyCtx``.
+    It is built once per modulus, for f.monic(), which leaves the same
+    remainders as f, and cached on f.  Over a prime field with p < 2^62, f
+    of degree at least ``_MODCTX_MIN`` gets the packed ``_ModCtx``; every
+    other f (over F_{p^m}, with p >= 2^62 or of lower degree) gets the list
+    context ``_PolyCtx``.  The packed lanes hold sums of at most n = deg f
+    products, so Brent-Kung block sums of more ``terms`` than that get a
+    ``_PolyCtx`` built for the call.
     """
     mc = f._mod
     if mc is None:
-        mc = False
-        n = len(f.coeffs) - 1
-        if f.ctx.m == 1 and n >= _MODCTX_MIN and f.coeffs[-1] == 1 and f.ctx.p < 1 << 62:
-            mc = _ModCtx(f, *_pack_width(n, f.ctx.p))
+        g = f.monic() if f.coeffs else f  # a zero f raises ZeroDivisionError in residue
+        n = len(g.coeffs) - 1
+        if g.ctx.m == 1 and n >= _MODCTX_MIN and g.ctx.p < 1 << 62:
+            mc = _ModCtx(g, *_pack_width(n, g.ctx.p))
+        else:
+            mc = _PolyCtx(g)
         f._mod = mc
-    return mc if mc and terms <= mc.n else _PolyCtx(f)
+    if terms > mc.n and isinstance(mc, _ModCtx):
+        return _PolyCtx(f.monic())
+    return mc
 
 
 class _ModCtx:
@@ -747,17 +709,28 @@ class _ModCtx:
 
 
 class _PolyCtx:
-    """Residues modulo any nonzero f as reduced ``Poly`` values: the list path.
+    """Residues modulo a monic f of degree n as reduced ``Poly`` values: the
+    list path, for every field and modulus that ``_ModCtx`` does not serve.
 
-    The packed form of a residue is the residue itself, and a product is
-    (a * b) % f on the general kernels, so this context serves every field
-    and every modulus that ``_ModCtx`` does not.
+    The packed form of a residue is the residue itself.  A product is a * b
+    on the general kernels, then reduced mod f.  From degree
+    ``_NEWTON_MIN`` of f over F_p, or ``_NEWTON_EXT_MIN`` over F_{p^m}, the
+    context holds the Newton inverse of reversed f modulo x^(n-1), built
+    once, and a product's quotient is its reversed top half times that
+    inverse; below them the product takes schoolbook division.
     """
 
-    __slots__ = ("f",)
+    __slots__ = ("f", "n", "finv")
 
     def __init__(self, f: Poly):
+        ctx = f.ctx
         self.f = f
+        self.n = n = len(f.coeffs) - 1
+        self.finv = None
+        if ctx.m == 1 and n >= _NEWTON_MIN:
+            self.finv = _series_inv(f.coeffs[::-1], n - 1, ctx.p)
+        elif ctx.m != 1 and n >= _NEWTON_EXT_MIN:
+            self.finv = _series_inv_ext(f.coeffs[::-1], n - 1, ctx)
 
     def residue(self, a: Poly) -> Poly:
         return a % self.f
@@ -770,16 +743,36 @@ class _PolyCtx:
 
     def const(self, c) -> Poly:
         f = self.f
-        return Poly.const(f.ctx, c) if len(f.coeffs) > 1 else Poly.zero(f.ctx)
+        return Poly.const(f.ctx, c) if self.n else Poly.zero(f.ctx)
 
     def mul(self, a: Poly, b: Poly) -> Poly:
-        return (a * b) % self.f
+        """(a * b) mod f for residues a and b."""
+        prod = a * b
+        n = self.n
+        if len(prod.coeffs) <= n:
+            return prod
+        if self.finv is None:
+            return prod % self.f
+        ctx, c, f = prod.ctx, prod.coeffs, self.f.coeffs
+        k = len(c) - n  # the quotient's length, below n
+        # c - q*f needs only the low n coefficients of q*f, and they come
+        # from q and the low n coefficients of f.
+        if ctx.m == 1:
+            p = ctx.p
+            q = _mul_trunc_int(c[::-1], self.finv, k, p)[::-1]
+            qf = _mul_int(q, f[:n], p)
+            return Poly(ctx, [(x - y) % p for x, y in zip(c[:n], qf)])
+        m = ctx.m
+        q = _mul_ext(c[::-1][:k], self.finv[:k], ctx)[:k][::-1]
+        qf = _mul_int(_flat(q, m), _flat(f[:n], m), ctx.p)
+        low = _flat(c[:n], m) + [0] * (m - 1)
+        return Poly(ctx, _fold([x - y for x, y in zip(low, qf)], ctx))
 
     def add(self, a: Poly, b: Poly) -> Poly:
         return a + b
 
     def shift(self, a: Poly) -> Poly:
-        """x * a mod the monic f: a shift, then one subtraction of a multiple of f."""
+        """x * a mod f: a shift, then one subtraction of a multiple of f."""
         f = self.f
         a = a.shift(1)
         if len(a.coeffs) == len(f.coeffs):
@@ -802,7 +795,7 @@ class _PolyCtx:
             packed = [_pack(_flat(g.coeffs, m), wb, dt) for g in powers]
             shifts = [8 * wb * s for s in range(m)]
             coeffs = [sum([v << sh for v, sh in zip(c, shifts)]) for c in coeffs]
-        k = (len(self.f.coeffs) - 1) * (2 * m - 1)
+        k = self.n * (2 * m - 1)
         out = [_unpack(v, k, wb, dt, p) for v in _dots(coeffs, packed)]
         return [Poly(ctx, c if m == 1 else _fold(c, ctx)) for c in out]
 

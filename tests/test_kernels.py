@@ -5,14 +5,17 @@ coefficients in descending order; ffq stores them ascending, so every
 comparison reverses the list.  Extension fields F_{p^m} are checked against
 the ``ref_*`` arithmetic of ``helpers``: products in sympy's F_p[x, y], each
 x-coefficient reduced by h with galoistools.  Sizes straddle the schoolbook
-and fast-division thresholds, and the fields reach every lane width the
-Kronecker multiply can pick: 16, 32 and 64-bit numpy lanes and byte lanes
-above 64 bits.  The packed reduction context (products, powers, x^q and
-compositions modulo a fixed monic f) serves prime fields with p < 2^62 on
-numpy and byte lanes alike; it is checked at the same lane edges, on both
-sides of its degree threshold and of p = 2^62 (larger p, up to 2^127 - 1,
-take the list context), with compositions by outer polynomials from the
-constants up past n^2 coefficients.
+multiply threshold, and the fields reach every lane width the Kronecker
+multiply can pick: 16, 32 and 64-bit numpy lanes and byte lanes above 64
+bits.  Division is schoolbook at every size; reduction by a Newton inverse
+lives only in the reduction contexts (products, powers, x^q and
+compositions modulo a fixed f).  The packed context serves prime fields
+with p < 2^62 on numpy and byte lanes alike; it is checked at the same lane
+edges, on both sides of its degree threshold and of p = 2^62, for
+non-monic moduli, and with compositions by outer polynomials from the
+constants up past n^2 coefficients.  Larger p, up to 2^127 - 1, and
+extension fields take the list context, checked on both sides of its
+Newton thresholds.
 """
 
 from math import isqrt
@@ -36,14 +39,14 @@ from sympy.polys.galoistools import (
 
 from ffq import field_new
 from ffq.poly import (
-    _FAST_DIV_EXT_MIN,
-    _FAST_DIV_MIN_DIVISOR,
-    _FAST_DIV_MIN_QUOTIENT,
     _MODCTX_MIN,
+    _NEWTON_EXT_MIN,
+    _NEWTON_MIN,
     SCHOOLBOOK_MAX,
     Poly,
     _ModCtx,
     _modctx,
+    _PolyCtx,
     _pack_width,
     counters,
     frobenius,
@@ -136,9 +139,10 @@ def test_fixed_primes_reach_numpy_and_byte_lanes():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_divmod_straddles_fast_division_thresholds(p):
+    """Divisor lengths 31-33 with quotient lengths 15-17, monic and not."""
     ctx = FIELDS[p]
     rng = make_rng(p % 997 + 2)
-    d, k = _FAST_DIV_MIN_DIVISOR, _FAST_DIV_MIN_QUOTIENT
+    d, k = 32, 16
     for lb in (d - 1, d, d + 1):
         for quot in (k - 1, k, k + 1):
             la = lb + quot
@@ -277,24 +281,47 @@ def test_modcomp_in_the_context_at_short_and_long_outer_lengths(p):
 
 @pytest.mark.parametrize(
     "ctx",
-    [field_new(3), field_new((1 << 61) - 1), field_new(3, 2, [1, 0, 1])],
-    ids=["F3-packed", "F2^61-1-bytes", "F9-ext"],
+    [field_new(3), field_new((1 << 61) - 1), field_new(3, 2, [1, 0, 1]),
+     field_new(nextprime(1 << 62))],
+    ids=["F3-packed", "F2^61-1-bytes", "F9-ext", "F2^62+-list"],
 )
 def test_context_counts_one_product_per_modular_product(ctx):
+    """Moduli of degree 32 and, for the list context, on both sides of its
+    Newton threshold."""
     rng = make_rng(13)
-    f = random_monic(ctx, 32, rng)
-    assert isinstance(_modctx(f), _ModCtx) == (ctx.m == 1 and ctx.p < 2**62)
-    a, g = random_poly(ctx, 31, rng), random_poly(ctx, 31, rng)
+    t = _NEWTON_MIN if ctx.m == 1 else _NEWTON_EXT_MIN
+    for n in (32, t - 1, t):
+        f = random_monic(ctx, n, rng)
+        assert isinstance(_modctx(f), _ModCtx) == (ctx.m == 1 and ctx.p < 2**62)
+        a, g = random_poly(ctx, 31, rng), random_poly(ctx, n - 1, rng)
+        reset_counters()
+        mulmod(a, g, f)
+        assert counters() == {"mul": 1, "modcomp": 0}, n
+        reset_counters()
+        powmod(g, 0b1011, f)  # three squarings and two more products
+        assert counters() == {"mul": 5, "modcomp": 0}, n
+        reset_counters()
+        modcomp(a, g, f)  # 32 coefficients, t = 6: 5 baby steps, 5 giant steps
+        assert counters() == {"mul": 10, "modcomp": 1}, n
     reset_counters()
-    mulmod(a, g, f)
-    assert counters() == {"mul": 1, "modcomp": 0}
-    reset_counters()
-    powmod(g, 0b1011, f)  # three squarings and two more products
-    assert counters() == {"mul": 5, "modcomp": 0}
-    reset_counters()
-    modcomp(a, g, f)  # 32 coefficients, t = 6: 5 baby steps, 5 giant steps
-    assert counters() == {"mul": 10, "modcomp": 1}
-    reset_counters()
+
+
+@pytest.mark.parametrize("p", [3, (1 << 61) - 1])
+def test_non_monic_moduli_get_the_packed_context(p):
+    """The context is built for f.monic(), which leaves the same remainders."""
+    ctx = field_new(p)
+    rng = make_rng(p % 1000 + 17)
+    for n in (9, 14):
+        f = random_poly(ctx, n, rng)
+        if f.is_monic():
+            f = f.scaled(2)
+        assert isinstance(_modctx(f), _ModCtx) and _modctx(f) is _modctx(f)
+        F = gf(f)
+        a, g = random_poly(ctx, n - 1, rng), random_poly(ctx, 2 * n, rng)
+        want = gf_rem(gf_mul(gf(a), gf(g), p, ZZ), F, p, ZZ)
+        assert mulmod(a, g, f) == from_gf(ctx, want), n
+        for e in (0, 1, 2, 5, p, 3 * p + 1):
+            assert powmod(g, e, f) == from_gf(ctx, gf_pow_mod(gf(g), e, F, p, ZZ)), (n, e)
 
 
 @pytest.mark.parametrize(
@@ -418,9 +445,11 @@ def test_ext_mul_at_each_lane_width_edge(bits):
 
 @pytest.mark.parametrize("name", EXT)
 def test_ext_divmod_straddles_fast_division_thresholds(name):
+    """Divisor and quotient lengths 7-9, monic and not, and one monic divisor
+    of degree 16 with quotients of degree 8, 24, 12 and 40."""
     ctx = EXT_FIELDS[name]
     rng = make_rng(ctx.q % 997 + 8)
-    d = k = _FAST_DIV_EXT_MIN
+    d = k = 8
     for lb in (d - 1, d, d + 1):
         for quot in (k - 1, k, k + 1):
             a = random_poly(ctx, lb + quot - 1, rng)
@@ -428,15 +457,9 @@ def test_ext_divmod_straddles_fast_division_thresholds(name):
             check_ext_divmod(a, random_poly(ctx, lb - 1, rng))  # non-monic
     for da, db in [(0, 0), (5, 0), (3, 7), (20, 20), (40, 5)]:
         check_ext_divmod(random_poly(ctx, da, rng), random_poly(ctx, db, rng))
-
-
-@pytest.mark.parametrize("name", EXT)
-def test_ext_newton_inverse_cache_grows_and_is_reused(name):
-    """One monic divisor, dividends whose quotients grow, shrink and grow."""
-    ctx = EXT_FIELDS[name]
     rng = make_rng(ctx.q % 991 + 9)
-    b = random_monic(ctx, 2 * _FAST_DIV_EXT_MIN, rng)
-    for quot in (_FAST_DIV_EXT_MIN, 3 * _FAST_DIV_EXT_MIN, 12, 40):
+    b = random_monic(ctx, 16, rng)
+    for quot in (8, 24, 12, 40):
         check_ext_divmod(random_poly(ctx, b.degree + quot, rng), b)
 
 
@@ -466,6 +489,42 @@ def test_ext_modcomp_at_short_and_long_outer_lengths_against_reference(name):
         a = random_poly(ctx, da, rng)
         g = random_poly(ctx, df - 1, rng)
         assert modcomp(a, g, f) == ref_modcomp(a, g, f), (df, da)
+
+
+def ref_powmod(g: Poly, e: int, f: Poly) -> Poly:
+    """g^e mod f by e reference products."""
+    out = ref_divmod(Poly.one(f.ctx), f)[1]
+    for _ in range(e):
+        out = ref_divmod(ref_mul(out, g), f)[1]
+    return out
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [field_new((1 << 127) - 1), field_new(nextprime(1 << 62)), EXT_FIELDS["F9"],
+     EXT_FIELDS["F256"]],
+    ids=["F2^127-1", "F2^62+", "F9", "F256"],
+)
+def test_list_context_at_its_newton_thresholds(ctx):
+    """mulmod, powmod and modcomp in the list context for moduli of degree
+    t - 1, t and t + 1, t its Newton threshold for the field: the context
+    holds the inverse of reversed f from degree t on."""
+    t = _NEWTON_MIN if ctx.m == 1 else _NEWTON_EXT_MIN
+    rng = make_rng(ctx.q % 1000 + 16)
+    for n in (t - 1, t, t + 1):
+        f = random_monic(ctx, n, rng)
+        mc = _modctx(f)
+        assert isinstance(mc, _PolyCtx) and _modctx(f) is mc
+        assert (mc.finv is not None) == (n >= t), n
+        a, g = random_poly(ctx, 2 * n, rng), random_poly(ctx, n - 1, rng)
+        if ctx.m == 1:
+            check_modular(a, g, f)
+            check_modular(random_poly(ctx, n - 1, rng), g, f)
+            continue
+        assert mulmod(a, g, f) == ref_divmod(ref_mul(a, g), f)[1], n
+        for e in (0, 1, 2, 5, 13):
+            assert powmod(g, e, f) == ref_powmod(g, e, f), (n, e)
+        assert modcomp(a, g, f) == ref_modcomp(a, g, f), n
 
 
 def test_const_maps_ints_into_the_field():

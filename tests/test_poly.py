@@ -6,10 +6,13 @@ from sympy.polys.galoistools import gf_div
 
 from ffq import errors, field_new
 from ffq.poly import (
+    _NEWTON_EXT_MIN,
+    _NEWTON_MIN,
     Endo,
     Poly,
     _divmod_ext,
     _divmod_int,
+    _PolyCtx,
     counters,
     frobenius,
     gcd,
@@ -100,26 +103,32 @@ def test_divmod_matches_reference():
             assert r.is_zero() or r.degree < b.degree
 
 
-def test_divmod_fast_and_schoolbook_agree():
-    """Newton division against the lazy schoolbook kernel that runs below its
-    thresholds, and both against an independent reference: galoistools over
-    F_5, the galoistools-based schoolbook of ``helpers`` over F_9."""
+def test_list_context_reduces_every_product_length():
+    """``_PolyCtx.mul`` against the lazy schoolbook kernels, and both against
+    an independent reference: galoistools over F_5, the galoistools-based
+    schoolbook of ``helpers`` over F_9.  The moduli straddle the Newton
+    thresholds, and the products of two residues take every length from
+    n + 1 to 2n - 1."""
     rng = make_rng(13)
-    for _ in range(20):
-        a = random_poly(F5, int(rng.integers(64, 160)), rng)
-        b = random_monic(F5, int(rng.integers(16, 40)), rng)
-        q, r = a._divmod_fast(b)
-        qi, ri = _divmod_int(a.coeffs, b.coeffs, F5.p)
-        assert q.coeffs == qi and r.coeffs == ri
-        gq, gr = gf_div(a.coeffs[::-1], b.coeffs[::-1], F5.p, ZZ)
-        assert qi == [int(v) for v in gq[::-1]] and ri == [int(v) for v in gr[::-1]]
-    for _ in range(10):
-        a = random_poly(F9, int(rng.integers(20, 60)), rng)
-        b = random_monic(F9, int(rng.integers(4, 20)), rng)
-        q, r = a._divmod_fast(b)
-        qe, re = _divmod_ext(a.coeffs, b.coeffs, F9)
-        assert q.coeffs == qe and r.coeffs == re
-        assert (q, r) == ref_divmod(a, b)
+    for ctx, degrees in ((F5, (16, 40)), (F9, (4, 20))):
+        for _ in range(20 if ctx is F5 else 10):
+            f = random_monic(ctx, int(rng.integers(*degrees)), rng)
+            n = f.degree
+            mc = _PolyCtx(f)
+            assert (mc.finv is not None) == (n >= (_NEWTON_MIN if ctx is F5 else _NEWTON_EXT_MIN))
+            for length in range(n + 1, 2 * n):
+                a = random_poly(ctx, n - 1, rng)
+                b = random_poly(ctx, length - n, rng)
+                c = a * b
+                r = mc.mul(a, b)
+                if ctx is F5:
+                    want = _divmod_int(c.coeffs, f.coeffs, F5.p)[1]
+                    gr = gf_div(c.coeffs[::-1], f.coeffs[::-1], F5.p, ZZ)[1]
+                    assert want == [int(v) for v in gr[::-1]]
+                else:
+                    want = _divmod_ext(c.coeffs, f.coeffs, F9)[1]
+                    assert Poly(F9, want) == ref_divmod(c, f)[1]
+                assert r.coeffs == want, (ctx, n, length)
 
 
 def test_division_by_non_monic_and_units():
@@ -135,6 +144,8 @@ def test_division_by_non_monic_and_units():
     assert r.is_zero() and q.scaled(2) == a
     with pytest.raises(ZeroDivisionError):
         divmod(a, Poly.zero(F5))
+    with pytest.raises(ZeroDivisionError):
+        mulmod(a, a, Poly.zero(F5))
 
 
 def test_gcd_properties():
