@@ -34,17 +34,17 @@ Arithmetic modulo f runs in a reduction context from ``_modctx``, built
 once per modulus for f.monic() and cached on f.  ``mulmod``, ``powmod``,
 ``frobenius`` and ``modcomp`` are written once over its primitives:
 residue in and out, packing, product, shift by x, add and block sums.  The
-contexts are the only code that reduces by a Newton inverse.  Over a prime
-field with p < 2^62, f of degree at least ``_MODCTX_MIN`` gets the packed
-``_ModCtx``.  Its residues stay numpy int64 arrays between products and
-become lists only when they leave as a ``Poly``; a modular product is three
-big-integer products, against f's low part and the Newton inverse of
-reversed f, both packed once, in numpy lanes where products fit 64 bits and
-in byte lanes otherwise.  Every other f (over F_{p^m}, with p >= 2^62, or
-of lower degree) gets ``_PolyCtx``, whose residues are reduced ``Poly``
-values and whose product a * b is reduced by the Newton inverse of reversed
-f, held by the context, from degree ``_NEWTON_MIN`` over F_p and
-``_NEWTON_EXT_MIN`` over F_{p^m}, and by schoolbook division below them.
+contexts are the only code that reduces by a Newton inverse, and one rule
+picks them.  f of degree below ``_NEWTON_MIN`` gets the list context
+``_PolyCtx``, whose residues are reduced ``Poly`` values and whose products
+take schoolbook division.  From that degree on, a product is reduced by the
+Newton inverse of reversed f, held by the context: over a prime field, at
+every p, in the packed ``_ModCtx``, and over F_{p^m} in ``_PolyCtx``.
+``_ModCtx`` residues stay numpy arrays between products (int64 below 2^62,
+Python ints above) and become lists only when they leave as a ``Poly``; a
+modular product is three big-integer products, against f's low part and
+the Newton inverse, both packed once, in numpy lanes where products fit 64
+bits and in byte lanes otherwise.
 
 The Frobenius image x^q mod f is computed by square-and-shift: a set bit
 of q costs a shift and one reduction step, not a product.  Endomorphism
@@ -84,19 +84,14 @@ __all__ = [
 ]
 
 SCHOOLBOOK_MAX = 8  # up to this length, schoolbook multiplication wins
-# Modular products, powers and compositions mod f of at least this degree
-# use the packed reduction context ``_ModCtx`` over prime fields with
-# p < 2^62.  Timed per product with both contexts built, packed loses to
-# (a * b) % f at degree 7 over F_{2^31-1} and F_{2^61-1} (byte lanes) and
-# wins from degree 8 on over those, F_3 and F_101.
-_MODCTX_MIN = 8
-# The list context ``_PolyCtx`` reduces a product of two residues by the
-# Newton inverse of reversed f from these degrees of f on, over F_p and over
-# F_{p^m}.  Timed per reduction against schoolbook division, Newton breaks
-# even near degree 24 over F_{2^127-1} (12 over F_{nextprime(2^62)}) and
-# near degree 8 over F_4, F_9 and F_{(2^31-1)^2} (5 over F_{2^8}).
-_NEWTON_MIN = 24
-_NEWTON_EXT_MIN = 8
+# Arithmetic mod f reduces by the Newton inverse of reversed f from this
+# degree of f on: in the packed ``_ModCtx`` over every prime field, in the
+# list context ``_PolyCtx`` over F_{p^m}.  Below it the list context takes
+# schoolbook division.  Timed per product with both contexts built, packed
+# loses to (a * b) % f at degree 7 over F_{2^31-1} and F_{2^61-1} and wins
+# from degree 8 on over those, F_3 and F_101; over F_4, F_9 and
+# F_{(2^31-1)^2}, Newton reduction breaks even near degree 8.
+_NEWTON_MIN = 8
 
 _counters = {"mul": 0, "modcomp": 0}
 
@@ -288,35 +283,24 @@ def _divmod_ext(a: list, b: list, ctx: FieldCtx) -> tuple[list, list]:
 # ----------------------------------------------------------------------
 
 
-def _mul_trunc_int(a: list[int], b: list[int], k: int, p: int) -> list[int]:
-    return _mul_int(a[:k], b[:k], p)[:k]
+def _mul(a: list, b: list, ctx: FieldCtx) -> list:
+    """The product of two raw coefficient lists over the field ``ctx``."""
+    if ctx.m == 1:
+        return _mul_int(a, b, ctx.p)
+    return _mul_ext(a, b, ctx)
 
 
-def _series_inv(c: list[int], prec: int, p: int) -> list[int]:
+def _series_inv(c: list, prec: int, ctx: FieldCtx) -> list:
     """Inverse of the power series ``c`` (c[0] == 1) modulo x^prec."""
-    g = [1]
-    k = 1
-    while k < prec:
-        k = min(2 * k, prec)
-        cg = _mul_trunc_int(c, g, k, p)
-        # g <- g * (2 - c * g) mod x^k
-        t = [(-v) % p for v in cg]
-        t[0] = (t[0] + 2) % p
-        g = _mul_trunc_int(g, t, k, p)
-    return g[:prec]
-
-
-def _series_inv_ext(c: list, prec: int, ctx: FieldCtx) -> list[tuple]:
-    """``_series_inv`` over F_{p^m}; 2 - c*g is formed on the flat lanes."""
-    m = ctx.m
-    step = 2 * m - 1
+    two = ctx.from_int(2)
     g = [ctx.one]
     k = 1
     while k < prec:
         k = min(2 * k, prec)
-        t = [-v for v in _mul_int(_flat(c[:k], m), _flat(g, m), ctx.p)[: k * step]]
-        t[0] += 2
-        g = _mul_ext(g, _fold(t, ctx), ctx)[:k]
+        # g <- g * (2 - c * g) mod x^k
+        t = [ctx.neg(v) for v in _mul(c[:k], g, ctx)[:k]]
+        t[0] = ctx.add(t[0], two)
+        g = _mul(g, t, ctx)[:k]
     return g[:prec]
 
 
@@ -453,11 +437,7 @@ class Poly:
         if not self.coeffs or not other.coeffs:
             return Poly.zero(ctx)
         _counters["mul"] += 1
-        if ctx.m == 1:
-            out = _mul_int(self.coeffs, other.coeffs, ctx.p)
-        else:
-            out = _mul_ext(self.coeffs, other.coeffs, ctx)
-        return Poly(ctx, out)
+        return Poly(ctx, _mul(self.coeffs, other.coeffs, ctx))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k."""
@@ -592,37 +572,36 @@ def powmod(a: Poly, e: int, f: Poly) -> Poly:
 # ----------------------------------------------------------------------
 
 
-def _modctx(f: Poly, terms: int = 1):
+def _modctx(f: Poly):
     """The reduction context for arithmetic modulo the nonzero ``f``.
 
     It is built once per modulus, for f.monic(), which leaves the same
-    remainders as f, and cached on f.  Over a prime field with p < 2^62, f
-    of degree at least ``_MODCTX_MIN`` gets the packed ``_ModCtx``; every
-    other f (over F_{p^m}, with p >= 2^62 or of lower degree) gets the list
-    context ``_PolyCtx``.  The packed lanes hold sums of at most n = deg f
-    products, so Brent-Kung block sums of more ``terms`` than that get a
-    ``_PolyCtx`` built for the call.
+    remainders as f, and cached on f.  It holds a copy of f.monic(), never f
+    itself, so that f and its context form no reference cycle.  f of degree
+    below ``_NEWTON_MIN`` gets the list context ``_PolyCtx``, which divides
+    schoolbook.  From that degree on, reduction is by a Newton inverse: in
+    the packed ``_ModCtx`` over every prime field, and in ``_PolyCtx`` over
+    F_{p^m}.
     """
     mc = f._mod
     if mc is None:
-        g = f.monic() if f.coeffs else f  # a zero f raises ZeroDivisionError in residue
-        n = len(g.coeffs) - 1
-        if g.ctx.m == 1 and n >= _MODCTX_MIN and g.ctx.p < 1 << 62:
-            mc = _ModCtx(g, *_pack_width(n, g.ctx.p))
+        # A zero f gets a context whose residue() raises ZeroDivisionError.
+        g = Poly(f.ctx, f.monic().coeffs if f.coeffs else [], normalize=False)
+        if g.ctx.m == 1 and len(g.coeffs) - 1 >= _NEWTON_MIN:
+            mc = _ModCtx(g)
         else:
             mc = _PolyCtx(g)
         f._mod = mc
-    if terms > mc.n and isinstance(mc, _ModCtx):
-        return _PolyCtx(f.monic())
     return mc
 
 
 class _ModCtx:
-    """Residues modulo a monic f of degree n over F_p, p < 2^62, as packed lanes.
+    """Residues modulo a monic f of degree n over F_p as packed lanes.
 
-    A residue is a numpy int64 array of n reduced coefficients; p < 2^62
-    keeps the sum of two of them inside int64.  f's low n coefficients and
-    the Newton inverse of reversed f modulo x^(n-1) are packed once, so a
+    A residue is a numpy array of n reduced coefficients: int64 while
+    p < 2^62, which keeps the sum of two of them inside int64, and Python
+    ints (dtype ``object``) from 2^62 on.  f's low n coefficients and the
+    Newton inverse of reversed f modulo x^(n-1) are packed once, so a
     modular product is three big-integer products: a*b, its reversed top
     half times the inverse (the quotient), and the quotient times f's low
     part.  A lane holds n products of two coefficients, enough for every one
@@ -631,25 +610,29 @@ class _ModCtx:
     ``wb`` bytes (``dt`` None), unpacked and reduced through Python ints.
     """
 
-    __slots__ = ("ctx", "p", "n", "wb", "dt", "f", "low", "flow", "finv")
+    __slots__ = ("ctx", "p", "n", "wb", "dt", "rdt", "f", "low", "flow", "finv")
 
-    def __init__(self, f: Poly, wb: int, dt):
+    def __init__(self, f: Poly):
         p = f.ctx.p
         n = len(f.coeffs) - 1
-        self.ctx, self.p, self.n, self.wb, self.dt = f.ctx, p, n, wb, dt
+        self.ctx, self.p, self.n = f.ctx, p, n
+        self.wb, self.dt = _pack_width(n, p)
+        self.rdt = np.int64 if p < 1 << 62 else object  # residue dtype
         self.f = f.coeffs
-        self.low = np.array(f.coeffs[:n], dtype=np.int64)
+        self.low = np.array(f.coeffs[:n], dtype=self.rdt)
         self.flow = self.pack(self.low)
-        inv = _series_inv(f.coeffs[::-1], n - 1, p)
-        self.finv = self.pack(np.array(inv, dtype=np.int64))
+        inv = _series_inv(f.coeffs[::-1], n - 1, f.ctx)
+        self.finv = self.pack(np.array(inv, dtype=self.rdt))
 
     def pack(self, a: np.ndarray) -> int:
-        if self.dt is None:
-            # Each residue's 8 little-endian bytes, zero-padded to a byte lane.
-            buf = np.zeros((len(a), self.wb), dtype=np.uint8)
-            buf[:, :8].view("<i8")[:, 0] = a
-            return int.from_bytes(buf.tobytes(), "little")
-        return int.from_bytes(a.astype(self.dt).tobytes(), "little")
+        if self.dt is not None:
+            return int.from_bytes(a.astype(self.dt).tobytes(), "little")
+        if self.rdt is object:
+            return _pack(a.tolist(), self.wb, None)
+        # Each residue's 8 little-endian bytes, zero-padded to a byte lane.
+        buf = np.zeros((len(a), self.wb), dtype=np.uint8)
+        buf[:, :8].view("<i8")[:, 0] = a
+        return int.from_bytes(buf.tobytes(), "little")
 
     def lanes(self, v: int, k: int) -> np.ndarray:
         """The lowest ``k`` lanes of ``v``: unreduced numpy lanes, or byte
@@ -657,7 +640,7 @@ class _ModCtx:
         wb = self.wb
         buf = v.to_bytes(max(k * wb, (v.bit_length() + 7) // 8), "little")
         if self.dt is None:
-            return np.array(_byte_lanes(buf, k, wb, self.p), dtype=np.int64)
+            return np.array(_byte_lanes(buf, k, wb, self.p), dtype=self.rdt)
         return np.frombuffer(buf, dtype=self.dt, count=k).astype(np.int64)
 
     def residue(self, a: Poly) -> np.ndarray:
@@ -666,7 +649,7 @@ class _ModCtx:
         c = a.coeffs
         if len(c) > self.n:
             c = _divmod_int(c, self.f, self.p)[1]
-        out = np.zeros(self.n, dtype=np.int64)
+        out = np.zeros(self.n, dtype=self.rdt)
         out[: len(c)] = c
         return out
 
@@ -674,7 +657,7 @@ class _ModCtx:
         return Poly(self.ctx, a.tolist())
 
     def const(self, c: int) -> np.ndarray:
-        out = np.zeros(self.n, dtype=np.int64)
+        out = np.zeros(self.n, dtype=self.rdt)
         out[0] = c
         return out
 
@@ -700,7 +683,7 @@ class _ModCtx:
         if self.dt is None:  # top * low may pass int64: form it in Python ints
             t, p = int(top), self.p
             out = [(x - t * y) % p for x, y in zip(out.tolist(), self.f)]
-            return np.array(out, dtype=np.int64)
+            return np.array(out, dtype=self.rdt)
         return (out - top * self.low) % self.p
 
     def blocks(self, coeffs: list[int], powers: list[int]) -> list[np.ndarray]:
@@ -710,14 +693,16 @@ class _ModCtx:
 
 class _PolyCtx:
     """Residues modulo a monic f of degree n as reduced ``Poly`` values: the
-    list path, for every field and modulus that ``_ModCtx`` does not serve.
+    list context, for f of degree below ``_NEWTON_MIN`` over every field and
+    for f of every degree over F_{p^m}.
 
     The packed form of a residue is the residue itself.  A product is a * b
-    on the general kernels, then reduced mod f.  From degree
-    ``_NEWTON_MIN`` of f over F_p, or ``_NEWTON_EXT_MIN`` over F_{p^m}, the
-    context holds the Newton inverse of reversed f modulo x^(n-1), built
-    once, and a product's quotient is its reversed top half times that
-    inverse; below them the product takes schoolbook division.
+    on the general kernels, then reduced mod f.  Over F_{p^m} from degree
+    ``_NEWTON_MIN`` on, the context holds the Newton inverse of reversed f
+    modulo x^(n-1), built once, and a product's quotient is its reversed top
+    half times that inverse; every other product takes schoolbook division.
+    The Newton path is written for F_{p^m} alone: a prime-field f of that
+    degree gets ``_ModCtx``.
     """
 
     __slots__ = ("f", "n", "finv")
@@ -727,10 +712,8 @@ class _PolyCtx:
         self.f = f
         self.n = n = len(f.coeffs) - 1
         self.finv = None
-        if ctx.m == 1 and n >= _NEWTON_MIN:
-            self.finv = _series_inv(f.coeffs[::-1], n - 1, ctx.p)
-        elif ctx.m != 1 and n >= _NEWTON_EXT_MIN:
-            self.finv = _series_inv_ext(f.coeffs[::-1], n - 1, ctx)
+        if ctx.m > 1 and n >= _NEWTON_MIN:
+            self.finv = _series_inv(f.coeffs[::-1], n - 1, ctx)
 
     def residue(self, a: Poly) -> Poly:
         return a % self.f
@@ -754,15 +737,10 @@ class _PolyCtx:
         if self.finv is None:
             return prod % self.f
         ctx, c, f = prod.ctx, prod.coeffs, self.f.coeffs
+        m = ctx.m
         k = len(c) - n  # the quotient's length, below n
         # c - q*f needs only the low n coefficients of q*f, and they come
         # from q and the low n coefficients of f.
-        if ctx.m == 1:
-            p = ctx.p
-            q = _mul_trunc_int(c[::-1], self.finv, k, p)[::-1]
-            qf = _mul_int(q, f[:n], p)
-            return Poly(ctx, [(x - y) % p for x, y in zip(c[:n], qf)])
-        m = ctx.m
         q = _mul_ext(c[::-1][:k], self.finv[:k], ctx)[:k][::-1]
         qf = _mul_int(_flat(q, m), _flat(f[:n], m), ctx.p)
         low = _flat(c[:n], m) + [0] * (m - 1)
@@ -834,8 +812,10 @@ def modcomp(a: Poly, g: Poly, f: Poly) -> Poly:
     coeffs = a.coeffs
     if not coeffs:
         return Poly.zero(a.ctx)
-    t = max(isqrt(len(coeffs) - 1) + 1, 2)  # Brent-Kung block length
-    mc = _modctx(f, t)
+    # Brent-Kung block length, at most deg f: then no block sums more terms
+    # than the packed context's lanes hold.
+    t = min(max(isqrt(len(coeffs) - 1) + 1, 2), max(len(f.coeffs) - 1, 2))
+    mc = _modctx(f)
     gp = mc.pack(mc.residue(g))
     # Baby steps g^0, ..., g^(t-1), packed.
     powers = [mc.pack(mc.const(a.ctx.one)), gp]

@@ -9,17 +9,20 @@ multiply threshold, and the fields reach every lane width the Kronecker
 multiply can pick: 16, 32 and 64-bit numpy lanes and byte lanes above 64
 bits.  Division is schoolbook at every size; reduction by a Newton inverse
 lives only in the reduction contexts (products, powers, x^q and
-compositions modulo a fixed f).  The packed context serves prime fields
-with p < 2^62 on numpy and byte lanes alike; it is checked at the same lane
-edges, on both sides of its degree threshold and of p = 2^62, for
-non-monic moduli, and with compositions by outer polynomials from the
-constants up past n^2 coefficients.  Larger p, up to 2^127 - 1, and
-extension fields take the list context, checked on both sides of its
-Newton thresholds.
+compositions modulo a fixed f).  One table fixes which context serves each
+field and degree: the list context below the Newton threshold, and from it
+the packed context over every prime field and the list context over
+extension fields.  The packed context is checked at the same lane edges, on
+both sides of the threshold and of p = 2^62, where its residues turn from
+int64 to Python ints, for primes up to 2^127 - 1, for non-monic moduli, and
+with compositions by outer polynomials from the constants up past n^2
+coefficients.  Extension fields are checked on both sides of the threshold.
 """
 
+import gc
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,8 +42,6 @@ from sympy.polys.galoistools import (
 
 from ffq import field_new
 from ffq.poly import (
-    _MODCTX_MIN,
-    _NEWTON_EXT_MIN,
     _NEWTON_MIN,
     SCHOOLBOOK_MAX,
     Poly,
@@ -215,8 +216,8 @@ def check_modular(a: Poly, g: Poly, f: Poly) -> None:
 @pytest.mark.parametrize("bits", [16, 32, 64])
 def test_modular_kernels_at_lane_edges_and_the_context_threshold(bits):
     """Worst-case and random operands at both sides of each lane limit, for
-    moduli of degree _MODCTX_MIN - 1, _MODCTX_MIN and _MODCTX_MIN + 1."""
-    for n in (_MODCTX_MIN - 1, _MODCTX_MIN, _MODCTX_MIN + 1):
+    moduli of degree _NEWTON_MIN - 1, _NEWTON_MIN and _NEWTON_MIN + 1."""
+    for n in (_NEWTON_MIN - 1, _NEWTON_MIN, _NEWTON_MIN + 1):
         inside, outside = lane_edge_primes(n, bits)
         for p in (inside, outside):
             ctx = field_new(p)
@@ -224,11 +225,10 @@ def test_modular_kernels_at_lane_edges_and_the_context_threshold(bits):
             assert (wb == bits // 8) == (p == inside)
             worst = Poly(ctx, [p - 1] * n)
             f = Poly(ctx, [p - 1] * n + [1])
-            assert isinstance(_modctx(f), _ModCtx) == (n >= _MODCTX_MIN and p < 2**62)
             check_modular(worst, worst, f)
             # isqrt(n * n - 1) = n - 1: Brent-Kung blocks of n worst-case
             # terms, the most the context's lanes take.  One coefficient
-            # more and the blocks would need n + 1 terms.
+            # more and modcomp caps the block length at n.
             check_modular(Poly(ctx, [p - 1] * (n * n)), worst, f)
             check_modular(Poly(ctx, [p - 1] * (n * n + 1)), worst, f)
             rng = make_rng(p % 1000 + n)
@@ -239,31 +239,34 @@ def test_modular_kernels_at_lane_edges_and_the_context_threshold(bits):
 
 
 @pytest.mark.parametrize(
-    "p, packed",
-    [(prevprime(1 << 62), True), (nextprime(1 << 62), False), (prevprime(1 << 63), False),
-     ((1 << 127) - 1, False)]
-    + [(q, True) for q in lane_edge_primes(_MODCTX_MIN, 64)],
-    ids=["below-2^62", "above-2^62", "below-2^63", "2^127-1", "u8-lanes", "byte-lanes"],
+    "p",
+    [prevprime(1 << 62), nextprime(1 << 62), prevprime(1 << 63), (1 << 127) - 1]
+    + list(lane_edge_primes(_NEWTON_MIN, 64)) + [nextprime(1 << 64)],
+    ids=["below-2^62", "above-2^62", "below-2^63", "2^127-1", "u8-lanes", "byte-lanes",
+         "above-2^64"],
 )
-def test_modular_kernels_at_the_int64_residue_bound(p, packed):
-    """All-(p - 1) operands on both sides of p = 2^62, the bound that keeps
-    residues and sums of two residues inside int64, below 2^63, where such
-    sums overflow, and on both sides of the 64-bit lane edge, where the
-    context's lanes turn from numpy to bytes."""
+def test_modular_kernels_at_the_int64_residue_bound(p):
+    """All-(p - 1) operands on both sides of p = 2^62, where the packed
+    context's residues turn from int64 to Python ints, below 2^63, where
+    sums of two residues would overflow int64, above 2^64, and on both sides
+    of the 64-bit lane edge, where the context's lanes turn from numpy to
+    bytes.  Outer polynomials of n^2 and n^2 + 1 coefficients fill the lanes
+    with Brent-Kung blocks of n terms."""
     ctx = field_new(p)
-    for n in (_MODCTX_MIN, 20):
+    for n in (_NEWTON_MIN - 1, _NEWTON_MIN, _NEWTON_MIN + 1, 20):
         worst = Poly(ctx, [p - 1] * n)
         f = Poly(ctx, [p - 1] * n + [1])
-        assert isinstance(_modctx(f), _ModCtx) == packed
+        assert isinstance(_modctx(f), _ModCtx) == (n >= _NEWTON_MIN)
         check_modular(worst, worst, f)
         check_modular(Poly(ctx, [p - 1] * (n * n)), worst, f)
+        check_modular(Poly(ctx, [p - 1] * (n * n + 1)), worst, f)
 
 
 @pytest.mark.parametrize("p", [3, 101, 65537])
 def test_modcomp_in_the_context_at_short_and_long_outer_lengths(p):
     ctx = field_new(p)
     rng = make_rng(p % 1000 + 12)
-    for n in (_MODCTX_MIN, 40):
+    for n in (_NEWTON_MIN, 40):
         f = random_monic(ctx, n, rng)
         assert isinstance(_modctx(f), _ModCtx)
         g = random_poly(ctx, n - 1, rng)
@@ -274,8 +277,8 @@ def test_modcomp_in_the_context_at_short_and_long_outer_lengths(p):
             for inner in (Poly.zero(ctx), Poly.const(ctx, 7), x_poly(ctx), g):
                 check_modular(a, inner, f)
                 check_modular(random_poly(ctx, 30, rng), inner, f)
-        # More than n^2 coefficients: a block would sum more than the n terms
-        # the context's lanes are sized for, so modcomp leaves the context.
+        # More than n^2 coefficients: modcomp caps the block length at n, the
+        # most terms the context's lanes are sized for.
         check_modular(random_poly(ctx, n * n, rng), g, f)
 
 
@@ -283,16 +286,14 @@ def test_modcomp_in_the_context_at_short_and_long_outer_lengths(p):
     "ctx",
     [field_new(3), field_new((1 << 61) - 1), field_new(3, 2, [1, 0, 1]),
      field_new(nextprime(1 << 62))],
-    ids=["F3-packed", "F2^61-1-bytes", "F9-ext", "F2^62+-list"],
+    ids=["F3-packed", "F2^61-1-bytes", "F9-ext", "F2^62+-object"],
 )
 def test_context_counts_one_product_per_modular_product(ctx):
-    """Moduli of degree 32 and, for the list context, on both sides of its
-    Newton threshold."""
+    """Moduli of degree 32 and on both sides of the Newton threshold."""
     rng = make_rng(13)
-    t = _NEWTON_MIN if ctx.m == 1 else _NEWTON_EXT_MIN
+    t = _NEWTON_MIN
     for n in (32, t - 1, t):
         f = random_monic(ctx, n, rng)
-        assert isinstance(_modctx(f), _ModCtx) == (ctx.m == 1 and ctx.p < 2**62)
         a, g = random_poly(ctx, 31, rng), random_poly(ctx, n - 1, rng)
         reset_counters()
         mulmod(a, g, f)
@@ -336,7 +337,6 @@ def test_modcomp_counts_brent_kung_products_at_every_outer_length(ctx):
     block past the first.  A constant or linear outer polynomial costs none."""
     rng = make_rng(14)
     f = random_monic(ctx, 40, rng)
-    assert isinstance(_modctx(f), _ModCtx) == (ctx.m == 1 and ctx.p < 2**62)
     g = random_poly(ctx, 39, rng)
     for L in range(1, 41):
         k = max(isqrt(L - 1) + 1, 2)
@@ -506,15 +506,17 @@ def ref_powmod(g: Poly, e: int, f: Poly) -> Poly:
     ids=["F2^127-1", "F2^62+", "F9", "F256"],
 )
 def test_list_context_at_its_newton_thresholds(ctx):
-    """mulmod, powmod and modcomp in the list context for moduli of degree
-    t - 1, t and t + 1, t its Newton threshold for the field: the context
-    holds the inverse of reversed f from degree t on."""
-    t = _NEWTON_MIN if ctx.m == 1 else _NEWTON_EXT_MIN
+    """mulmod, powmod and modcomp for moduli of degree t - 1, t and t + 1,
+    t = _NEWTON_MIN: below t the list context divides schoolbook, and from
+    t on the context holds the inverse of reversed f, the packed context
+    over a prime field and the list context over F_{p^m}."""
+    t = _NEWTON_MIN
     rng = make_rng(ctx.q % 1000 + 16)
     for n in (t - 1, t, t + 1):
         f = random_monic(ctx, n, rng)
         mc = _modctx(f)
-        assert isinstance(mc, _PolyCtx) and _modctx(f) is mc
+        assert isinstance(mc, _ModCtx if ctx.m == 1 and n >= t else _PolyCtx), n
+        assert _modctx(f) is mc
         assert (mc.finv is not None) == (n >= t), n
         a, g = random_poly(ctx, 2 * n, rng), random_poly(ctx, n - 1, rng)
         if ctx.m == 1:
@@ -527,13 +529,100 @@ def test_list_context_at_its_newton_thresholds(ctx):
         assert modcomp(a, g, f) == ref_modcomp(a, g, f), n
 
 
+# Which context serves a modulus of each degree in ROUTING_DEGREES, one
+# letter a degree: the list context dividing schoolbook (L) or holding a
+# Newton inverse (N), and the packed context with int64 (I) or Python-int (O)
+# residues.
+ROUTES = {
+    "L": (_PolyCtx, None, False),
+    "N": (_PolyCtx, None, True),
+    "I": (_ModCtx, np.dtype(np.int64), True),
+    "O": (_ModCtx, np.dtype(object), True),
+}
+ROUTING_DEGREES = (1, 7, 8, 9, 40)
+ROUTING = {
+    "F2": (field_new(2), "LLIII"),
+    "F3": (field_new(3), "LLIII"),
+    "F101": (field_new(101), "LLIII"),
+    "F2^61-1": (field_new((1 << 61) - 1), "LLIII"),
+    "below-2^62": (field_new(prevprime(1 << 62)), "LLIII"),
+    "above-2^62": (field_new(nextprime(1 << 62)), "LLOOO"),
+    "below-2^63": (field_new(prevprime(1 << 63)), "LLOOO"),
+    "above-2^64": (field_new(nextprime(1 << 64)), "LLOOO"),
+    "2^127-1": (field_new((1 << 127) - 1), "LLOOO"),
+    "F4": (EXT_FIELDS["F4"], "LLNNN"),
+    "F9": (EXT_FIELDS["F9"], "LLNNN"),
+    "F256": (EXT_FIELDS["F256"], "LLNNN"),
+}
+
+
+@pytest.mark.parametrize("name", ROUTING)
+def test_routing_table_of_the_reduction_contexts(name):
+    """``_modctx`` picks the context class, the residue dtype and whether a
+    Newton inverse is held from the field and the degree of f alone."""
+    ctx, row = ROUTING[name]
+    rng = make_rng(ctx.q % 1000 + 18)
+    for n, code in zip(ROUTING_DEGREES, row):
+        f = random_monic(ctx, n, rng)
+        mc = _modctx(f)
+        r = mc.residue(random_poly(ctx, 2 * n, rng))
+        prod = mc.mul(mc.pack(r), mc.pack(r))
+        dtypes = {x.dtype if isinstance(x, np.ndarray) else None for x in (r, prod)}
+        assert len(dtypes) == 1, (n, dtypes)
+        got = (type(mc), dtypes.pop(), mc.finv is not None)
+        assert got == ROUTES[code], (n, got)
+
+
+def test_reduction_context_leaves_no_reference_cycle():
+    """A modulus and its cached context are freed by reference counting: the
+    context holds a copy of f.monic(), not f."""
+    rng = make_rng(19)
+    F101 = field_new(101)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for ctx, n in ((EXT_FIELDS["F9"], 17), (F101, 6)):
+            f = random_monic(ctx, n, rng)
+            _modctx(f)
+            del f
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize(
+    "ctx", [field_new(3), EXT_FIELDS["F9"]], ids=["F3-packed", "F9-list"],
+)
+def test_modcomp_caps_its_block_length_at_deg_f(ctx):
+    """Past (deg f)^2 outer coefficients the Brent-Kung block length stays at
+    deg f = 8: k = min(max(isqrt(L - 1) + 1, 2), 8) costs k - 2 baby steps,
+    the giant step and one product per block past the first."""
+    rng = make_rng(20)
+    f = random_monic(ctx, 8, rng)
+    g = random_poly(ctx, 7, rng)
+    for L in (64, 65, 66, 100):
+        k = min(max(isqrt(L - 1) + 1, 2), 8)
+        b = -(-L // k)
+        a = random_poly(ctx, L - 1, rng)
+        reset_counters()
+        got = modcomp(a, g, f)
+        assert counters() == {"mul": k - 2 + b, "modcomp": 1}, L
+        if ctx.m == 1:
+            assert got == from_gf(ctx, gf_compose_mod(gf(a), gf(g), gf(f), 3, ZZ)), L
+        else:
+            assert got == ref_modcomp(a, g, f), L
+    reset_counters()
+
+
 def test_const_maps_ints_into_the_field():
     F3, F9 = field_new(3), EXT_FIELDS["F9"]
     assert Poly.const(F3, 5) == Poly.const(F3, 2)
     assert Poly.const(F9, 5) == Poly.const(F9, F9.from_int(2))
     assert Poly.const(F9, F9.from_int(2)).coeffs == [F9.from_int(2)]
     rng = make_rng(15)
-    for n in (5, _MODCTX_MIN + 8):  # the list and the packed context
+    for n in (5, _NEWTON_MIN + 8):  # the list and the packed context
         f = random_monic(F3, n, rng)
         g = random_poly(F3, n - 1, rng)
         assert modcomp(Poly.const(F3, 5), g, f) == from_gf(

@@ -1,17 +1,19 @@
 """Polynomial arithmetic: kernels, division, composition, Frobenius maps."""
 
 import pytest
+from sympy import nextprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_div
 
 from ffq import errors, field_new
 from ffq.poly import (
-    _NEWTON_EXT_MIN,
     _NEWTON_MIN,
     Endo,
     Poly,
     _divmod_ext,
     _divmod_int,
+    _ModCtx,
+    _modctx,
     _PolyCtx,
     counters,
     frobenius,
@@ -34,6 +36,8 @@ F2 = field_new(2)
 F3 = field_new(3)
 F5 = field_new(5)
 F9 = field_new(3, 2, [1, 0, 1])
+F_ABOVE_2_62 = field_new(nextprime(1 << 62))
+F_2_127 = field_new((1 << 127) - 1)
 
 
 def ref_mul(a, b):
@@ -104,26 +108,31 @@ def test_divmod_matches_reference():
 
 
 def test_list_context_reduces_every_product_length():
-    """``_PolyCtx.mul`` against the lazy schoolbook kernels, and both against
-    an independent reference: galoistools over F_5, the galoistools-based
-    schoolbook of ``helpers`` over F_9.  The moduli straddle the Newton
-    thresholds, and the products of two residues take every length from
-    n + 1 to 2n - 1."""
+    """Both contexts' products against the lazy schoolbook kernels, and both
+    against an independent reference: galoistools over the prime fields
+    just above 2^62 and at 2^127 - 1, which take the packed context, and the
+    galoistools-based schoolbook of ``helpers`` over F_9, whose moduli
+    straddle the Newton threshold.  The products of two residues take every
+    length from n + 1 to 2n - 1."""
     rng = make_rng(13)
-    for ctx, degrees in ((F5, (16, 40)), (F9, (4, 20))):
-        for _ in range(20 if ctx is F5 else 10):
+    for ctx, degrees in ((F_ABOVE_2_62, (16, 40)), (F_2_127, (16, 40)), (F9, (4, 20))):
+        for _ in range(10):
             f = random_monic(ctx, int(rng.integers(*degrees)), rng)
             n = f.degree
-            mc = _PolyCtx(f)
-            assert (mc.finv is not None) == (n >= (_NEWTON_MIN if ctx is F5 else _NEWTON_EXT_MIN))
+            if ctx.m == 1:
+                mc = _modctx(f)
+                assert isinstance(mc, _ModCtx)
+            else:
+                mc = _PolyCtx(f)
+                assert (mc.finv is not None) == (n >= _NEWTON_MIN)
             for length in range(n + 1, 2 * n):
                 a = random_poly(ctx, n - 1, rng)
                 b = random_poly(ctx, length - n, rng)
                 c = a * b
-                r = mc.mul(a, b)
-                if ctx is F5:
-                    want = _divmod_int(c.coeffs, f.coeffs, F5.p)[1]
-                    gr = gf_div(c.coeffs[::-1], f.coeffs[::-1], F5.p, ZZ)[1]
+                r = mc.poly(mc.mul(mc.pack(mc.residue(a)), mc.pack(mc.residue(b))))
+                if ctx.m == 1:
+                    want = _divmod_int(c.coeffs, f.coeffs, ctx.p)[1]
+                    gr = gf_div(c.coeffs[::-1], f.coeffs[::-1], ctx.p, ZZ)[1]
                     assert want == [int(v) for v in gr[::-1]]
                 else:
                     want = _divmod_ext(c.coeffs, f.coeffs, F9)[1]
