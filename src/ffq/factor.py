@@ -1,7 +1,7 @@
 """Full factorization pipeline: squarefree -> distinct-degree -> equal-degree.
 
-``factor`` normalizes the unit, splits by multiplicity (Yun's algorithm with
-the characteristic-p p-th-power recursion), runs the order-driven
+``factor`` normalizes the unit, splits by multiplicity (Yun's algorithm, repeated
+on p-th roots in characteristic p), runs the order-driven
 distinct-degree engine on each squarefree part, and splits each same-degree
 block into irreducibles (Cantor-Zassenhaus for odd q, trace maps for
 characteristic 2).  Every output is audited to multiply back to the input.
@@ -46,22 +46,22 @@ class Factorization:
 def sff(f: Poly) -> list[tuple[Poly, int]]:
     """Squarefree factorization of nonzero f: [(monic squarefree part, mult)].
 
-    Yun's gcd chain; a vanishing derivative means f is a p-th power, and the
-    recursion continues on its p-th root with multiplicities scaled by p.
+    Yun's gcd chain, run in a loop.  A polynomial with a vanishing derivative
+    is a p-th power, and every multiplicity in the tail Yun's chain leaves is
+    divisible by p; either way the loop goes on with the p-th root and
+    multiplicities scaled by p, until that root is constant.
     The returned parts are pairwise coprime, listed by ascending multiplicity.
     """
     if f.is_zero():
         raise errors.BadInput("cannot factor the zero polynomial")
-    ctx = f.ctx
+    p = f.ctx.p
     out: list[tuple[Poly, int]] = []
-
-    def rec(g: Poly, scale: int) -> None:
-        if g.degree == 0:
-            return
+    g, scale = f.monic(), 1
+    while g.degree > 0:
         der = g.deriv()
         if der.is_zero():
-            rec(poly_pth_root(g), scale * ctx.p)
-            return
+            g, scale = poly_pth_root(g), scale * p
+            continue
         tail = gcd(g, der)
         w = g // tail
         j = 1
@@ -73,11 +73,8 @@ def sff(f: Poly) -> list[tuple[Poly, int]]:
             w = y
             tail = tail // y
             j += 1
-        if tail.degree > 0:
-            # Every multiplicity left in the tail is divisible by p.
-            rec(poly_pth_root(tail), scale * ctx.p)
-
-    rec(f.monic(), 1)
+        # Every multiplicity left in the tail is divisible by p.
+        g, scale = poly_pth_root(tail), scale * p
     out.sort(key=lambda t: (t[1], t[0].sort_key()))
     return out
 

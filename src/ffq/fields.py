@@ -43,8 +43,8 @@ __all__ = [
 _MR_ROUNDS = 64
 
 
-def is_probable_prime(n: int, rounds: int = _MR_ROUNDS) -> bool:
-    """Miller-Rabin with ``rounds`` pseudo-random bases (error < 4^-rounds).
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with 64 pseudo-random bases (error < 4^-64).
 
     Bases are drawn from a generator seeded by ``n`` itself, so the answer is
     deterministic for a given input.
@@ -60,7 +60,7 @@ def is_probable_prime(n: int, rounds: int = _MR_ROUNDS) -> bool:
         d //= 2
         s += 1
     picker = _random.Random(n)
-    for _ in range(rounds):
+    for _ in range(_MR_ROUNDS):
         a = picker.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -218,7 +218,7 @@ class PrimeField(FieldCtx):
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

@@ -300,7 +300,7 @@ def cofactor_powers(s: Endo, c: int) -> _Powers:
     """
     primes = sorted(factor_int(c))
     u = s.pow(c // math.prod(primes))
-    return u, dict(zip(primes, frobenius_power_sequence(u, [(p, 1) for p in primes])))
+    return u, dict(zip(primes, frobenius_power_sequence(u, primes)))
 
 
 def _order_from(s: Endo, cands: set[int], rejected: list[int]) -> tuple[int, _Powers] | None:

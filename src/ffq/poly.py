@@ -48,8 +48,9 @@ bits and in byte lanes otherwise.
 
 The Frobenius image x^q mod f is computed by square-and-shift: a set bit
 of q costs a shift and one reduction step, not a product.  Endomorphism
-powers are square-and-multiply (``Endo.pow``) or, for s^(D/p) over every
-prime p | D at once, recursive halving.
+powers are square-and-multiply (``Endo.pow``) or, for s^(R/p) over every
+prime p of a list with product R at once, recursive halving
+(``frobenius_power_sequence(s, primes)``).
 
 Module-level counters track multiplications (one per product, and one per
 modular product in either context) and modular compositions so benchmarks
@@ -58,7 +59,7 @@ can report work alongside wall time.
 
 from __future__ import annotations
 
-from math import isqrt
+import math
 
 import numpy as np
 
@@ -814,7 +815,7 @@ def modcomp(a: Poly, g: Poly, f: Poly) -> Poly:
         return Poly.zero(a.ctx)
     # Brent-Kung block length, at most deg f: then no block sums more terms
     # than the packed context's lanes hold.
-    t = min(max(isqrt(len(coeffs) - 1) + 1, 2), max(len(f.coeffs) - 1, 2))
+    t = min(max(math.isqrt(len(coeffs) - 1) + 1, 2), max(len(f.coeffs) - 1, 2))
     mc = _modctx(f)
     gp = mc.pack(mc.residue(g))
     # Baby steps g^0, ..., g^(t-1), packed.
@@ -895,32 +896,19 @@ class Endo:
         return Endo(new_modulus, self.image % new_modulus)
 
 
-def frobenius_power_sequence(s: Endo, fac: list[tuple[int, int]]) -> list[Endo]:
-    """[s^(D/p_i) for each (p_i, e_i) in fac], where D = prod p_i^e_i.
+def frobenius_power_sequence(s: Endo, primes: list[int]) -> list[Endo]:
+    """[s^(R/p) for p in primes], where R = prod(primes).
 
     Computed by recursive halving: each half inherits s raised to the other
-    half's product, so the total composition count is O(log(D) * log(#fac))
-    plus one power per output instead of #fac independent powerings.
+    half's product, so the total composition count is O(log(R) * log(#primes))
+    instead of #primes independent powerings.
     """
-    pairs = list(fac)
-    if not pairs:
-        return []
-
-    def rec(base: Endo, chunk: list[tuple[int, int]]) -> list[Endo]:
-        if len(chunk) == 1:
-            p, e = chunk[0]
-            return [base.pow(p ** (e - 1))]
-        mid = len(chunk) // 2
-        left, right = chunk[:mid], chunk[mid:]
-        prod_left = 1
-        for p, e in left:
-            prod_left *= p**e
-        prod_right = 1
-        for p, e in right:
-            prod_right *= p**e
-        return rec(base.pow(prod_right), left) + rec(base.pow(prod_left), right)
-
-    return rec(s, pairs)
+    if len(primes) <= 1:
+        return [s] * len(primes)
+    mid = len(primes) // 2
+    left, right = primes[:mid], primes[mid:]
+    return (frobenius_power_sequence(s.pow(math.prod(right)), left)
+            + frobenius_power_sequence(s.pow(math.prod(left)), right))
 
 
 def frobenius(f: Poly, check: bool = True) -> Endo:

@@ -29,18 +29,23 @@ F9 = field_new(3, 2, [1, 0, 1])
 
 
 def test_frobenius_power_sequence_matches_direct_powers():
+    """s^(R/p) for each prime p of the list, R their product.  Each split of
+    the halving raises s to the product of either half, and Endo.pow costs
+    bit_length(e) + popcount(e) - 2 compositions: [2, 3] costs 2 + 1, and
+    [2, 3, 5, 7, 11] costs (10 + 3) + (2 + 1) + (9 + 3) + (5 + 4)."""
+    modcomps = {(2,): 0, (2, 3): 3, (3, 7): 6, (2, 3, 5): 12, (2, 3, 5, 7, 11): 37}
     rng = make_rng(103)
     for ctx, n in [(F2, 10), (F3, 8), (F9, 6)]:
         f = random_squarefree(ctx, n, rng)
         s = frobenius(f)
-        for pairs in [[(2, 2), (3, 1)], [(2, 1)], [(2, 3), (3, 2), (5, 1)], [(3, 1), (7, 1)]]:
-            d = 1
-            for p, e in pairs:
-                d *= p**e
-            seq = frobenius_power_sequence(s, pairs)
-            assert len(seq) == len(pairs)
-            for tau, (p, _) in zip(seq, pairs):
-                assert tau == s.pow(d // p), (ctx.p, n, pairs, p)
+        for primes, cost in modcomps.items():
+            r = math.prod(primes)
+            before = counters()["modcomp"]
+            seq = frobenius_power_sequence(s, list(primes))
+            assert counters()["modcomp"] - before == cost, (ctx.p, n, primes)
+            assert len(seq) == len(primes)
+            for tau, p in zip(seq, primes):
+                assert tau == s.pow(r // p), (ctx.p, n, primes, p)
 
 
 def test_extract_small_degrees_fixed_example():

@@ -1,7 +1,12 @@
 """Squarefree split, equal-degree split, and the full factor pipeline."""
 
+import ast
+import gc
+from pathlib import Path
+
 import pytest
 
+import ffq
 from ffq import errors, field_new
 from ffq.classical import brute_factor, is_irreducible
 from ffq.factor import Factorization, edf, factor, sff
@@ -33,6 +38,25 @@ def test_sff_handles_pth_power_multiplicities():
     g2 = Poly(F2, [1, 1, 1])
     f = g2 * g2 * Poly(F2, [1, 1])
     assert sff(f) == [(Poly(F2, [1, 1]), 1), (g2, 2)]
+    # Multiplicities p^2, p*k and k coprime to p.  The F_2 input is a square,
+    # so the loop takes the p-th root of f itself and later of a tail; the
+    # others take the roots of tails.
+    rng = make_rng(24)
+    a4, b4, c4 = distinct_irreducibles(F4, [1, 1, 2], rng)
+    a9, b9, c9 = distinct_irreducibles(F9, [1, 1, 2], rng)
+    cases = [
+        (F3, [(Poly(F3, [1, 1]), 9), (Poly(F3, [2, 1]), 6), (Poly(F3, [1, 0, 1]), 2)]),
+        (F2, [(Poly(F2, [1, 1]), 4), (g2, 6)]),
+        (F4, [(a4, 4), (b4, 6), (c4, 3)]),
+        (F9, [(a9, 9), (b9, 3), (c9, 2)]),
+    ]
+    for ctx, powers in cases:
+        f = product(ctx, [g for g, m in powers for _ in range(m)])
+        _, irreducibles = brute_factor(f)
+        groups: dict[int, Poly] = {}
+        for g, m in irreducibles:
+            groups[m] = groups.get(m, Poly.one(ctx)) * g
+        assert sff(f) == [(groups[m], m) for m in sorted(groups)], (ctx.q, powers)
 
 
 def test_sff_output_is_squarefree_and_coprime():
@@ -145,3 +169,49 @@ def test_factor_xq_minus_x_splits_into_all_linears():
         res = factor(f, OrderOracle(OracleConfig()), make_rng(53))
         assert len(res.factors) == q
         assert all(g.degree == 1 and m == 1 for g, m in res.factors)
+
+
+def test_factor_leaves_no_reference_cycle():
+    """A factor() call is freed by reference counting alone: no closure of
+    sff or of the cofactor halving keeps its polynomials alive."""
+    rng = make_rng(21)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        f101 = random_monic(field_new(101), 6, rng)
+        f9 = random_monic(F9, 17, rng)
+        # (x + 1)^9 sends sff through the p-th-root branch twice.
+        f3 = random_monic(F3, 40, rng) * product(F3, [Poly(F3, [1, 1])] * 9)
+        for f in (f101, f9, f3):
+            res = factor(f, OrderOracle(OracleConfig()), rng)
+            assert res.product(f.ctx) == f
+        del f, res
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _self_recursive_closures(path: Path) -> list[str]:
+    """'file:line name' for each function defined inside another function
+    whose own body uses its name."""
+    found = []
+    for outer in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(isinstance(n, ast.Name) and n.id == inner.name
+                   for stmt in inner.body for n in ast.walk(stmt)):
+                found.append(f"{path.name}:{inner.lineno} {inner.name}")
+    return sorted(set(found))
+
+
+def test_no_nested_function_calls_itself():
+    """A self-recursive closure forms a function <-> cell reference cycle
+    that only the cycle collector frees; ffq keeps none."""
+    src = Path(ffq.__file__).parent
+    found = [hit for path in sorted(src.glob("*.py")) for hit in _self_recursive_closures(path)]
+    assert found == []
