@@ -5,8 +5,9 @@ route used to cross-check the engine (and, internally, to seed the
 measurement simulation with true orders).  Its uses of modular
 composition, the large-q steps of ``ladder`` and ``is_irreducible``, are
 checked against sympy in ``tests/test_kernels.py``,
-``tests/test_differential.py`` and ``tests/test_classical.py``.  The pieces
-are
+``tests/test_differential.py`` and ``tests/test_classical.py``; the
+Frobenius form of ``split_probe`` is checked against the probe's
+definition in ``tests/test_classical.py``.  The pieces are
 
 * ``ladder``: distinct-degree splitting with a stride and a degree bound,
   blocked by interval partition; ``distinct_degree_parts`` runs it with
@@ -15,7 +16,9 @@ are
 * ``irreducibles``: exhaustive sieve enumeration of monic irreducibles for
   tiny q^d, cached per field;
 * ``split_probe``: one equal-degree splitting attempt, shared by
-  ``equal_degree_split_det`` and the randomized ``factor.edf``;
+  ``equal_degree_split_det`` and the randomized ``factor.edf``; it powers
+  u directly, or first folds u's d conjugates by composing with x^q mod h,
+  by the same ``_composes`` rule as the ladder;
 * ``equal_degree_split_det``: deterministic equal-degree splitting (fixed
   test-element sequence instead of random draws);
 * ``brute_factor``: trial-division factorization over the enumerated
@@ -25,10 +28,11 @@ are
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from . import errors
 from .fields import FieldCtx, factor_int
-from .poly import Poly, frobenius, gcd, modcomp, mulmod, poly_pth_root, powmod, x_poly
+from .poly import Endo, Poly, frobenius, gcd, modcomp, mulmod, poly_pth_root, powmod, x_poly
 
 __all__ = [
     "ladder",
@@ -253,26 +257,60 @@ def _test_elements(ctx: FieldCtx, max_degree: int):
         idx += 1
 
 
-def split_probe(h: Poly, d: int, u: Poly) -> Poly:
+def _fold(u: Poly, d: int, sigma: Endo, join) -> Poly:
+    """join(u, sigma(u), ..., sigma^(d-1)(u)) for u reduced mod sigma's
+    modulus, by doubling (von zur Gathen-Shoup).  With N_k the join of the
+    first k terms and S = sigma^k, N_2k = join(N_k, S(N_k)) and
+    N_(k+1) = join(u, sigma(N_k)); S is updated only while a later doubling
+    reads it."""
+    acc, s_k = u, sigma
+    bits = bin(d)[3:]
+    for i, bit in enumerate(bits, 1):
+        more = i < len(bits)
+        acc = join(acc, s_k.apply(acc))
+        if more:
+            s_k = s_k.compose(s_k)
+        if bit == "1":
+            acc = join(u, sigma.apply(acc))
+            if more:
+                s_k = s_k.compose(sigma)
+    return acc
+
+
+def split_probe(h: Poly, d: int, u: Poly, xq: Poly | None = None) -> Poly:
     """One splitting attempt on h (product of distinct degree-d irreducibles).
 
     Odd q: gcd(u^((q^d-1)/2) - 1, h).  Characteristic 2: gcd of h with the
     absolute trace u + u^2 + ... + u^(2^(dm-1)).  Returns h itself when the
     probe polynomial vanishes mod h, so a result of degree 0 or deg h means
     "no split, draw another u".
+
+    Two forms give the same value.  The direct form powers u by (q^d-1)/2,
+    or squares it dm - 1 times.  The Frobenius form (von zur Gathen-Shoup)
+    first folds the d conjugates u^(q^i), i < d, by composing with
+    sigma: x -> x^q mod h: their product N(u) for odd q, since
+    u^((q^d-1)/2) = N(u)^((q-1)/2), and their sum T(u) in characteristic 2,
+    whose m - 1 squarings finish the trace.  The probe takes the Frobenius
+    form when d > 1 and ``_composes(q, deg h)``, the rule by which the
+    ladder composes rather than powers.  ``xq`` is x^q mod h, or mod a
+    multiple of h; when that form needs it and none is given, it is
+    computed here.
     """
     ctx = h.ctx
+    u = u % h
+    k = d  # the probe left to take: power (q^k - 1)/2, or km - 1 squarings
+    if d > 1 and _composes(ctx.q, h.degree):
+        sigma = frobenius(h, check=False) if xq is None else Endo(h, xq % h)
+        join = Poly.__add__ if ctx.p == 2 else partial(mulmod, f=h)
+        u, k = _fold(u, d, sigma, join), 1
     if ctx.p != 2:
-        e = (ctx.q**d - 1) // 2
-        t = powmod(u, e, h) - Poly.one(ctx)
+        t = powmod(u, (ctx.q**k - 1) // 2, h) - Poly.one(ctx)
     else:
-        # Absolute trace to F_2 over the degree-d factor fields.
-        acc = u % h
-        cur = acc
-        for _ in range(d * ctx.m - 1):
+        # Absolute trace to F_2: u + u^2 + ... + u^(2^(km-1)).
+        t = cur = u
+        for _ in range(k * ctx.m - 1):
             cur = mulmod(cur, cur, h)
-            acc = acc + cur
-        t = acc
+            t = t + cur
     if t.is_zero():
         return h
     return gcd(t, h)
@@ -283,9 +321,11 @@ def equal_degree_split_det(f: Poly, d: int) -> list[Poly]:
 
     Probes a fixed enumeration of test polynomials; for desk-scale inputs the
     sequence always separates the factors long before it is exhausted.
+    x^q mod f is computed once and serves every probe.
     """
     if f.degree % d != 0:
         raise errors.BadInput("degree of f must be a multiple of d")
+    xq = frobenius(f, check=False).image if d > 1 else None
     work = [f]
     done: list[Poly] = []
     for u in _test_elements(f.ctx, max(f.degree, 1)):
@@ -294,7 +334,7 @@ def equal_degree_split_det(f: Poly, d: int) -> list[Poly]:
             if h.degree == d:
                 done.append(h)
                 continue
-            g = split_probe(h, d, u)
+            g = split_probe(h, d, u, xq)
             if 0 < g.degree < h.degree:
                 still.append(g)
                 still.append(h // g)

@@ -13,6 +13,8 @@ and are emitted.
 The Frobenius map is computed once, for the input; a child of stride s*k
 inherits its parent's sigma^s restricted to its modulus, to the k-th power.
 The gcds use the cofactor powers the oracle computed when it verified d.
+The same x^q mod the input seeds the classical shadow and is returned as
+``DdfResult.xq``, for the equal-degree splitting that follows.
 
 When an order estimate fails (order above 2^ell), the fallback strips all
 factors of small degree on the classical ladder (``classical.ladder`` with
@@ -164,9 +166,14 @@ def order_with_fallback(
 
 @dataclass
 class DdfResult:
-    """Distinct-degree parts, ascending by degree: [(product, degree)]."""
+    """Distinct-degree parts, ascending by degree: [(product, degree)].
+
+    ``xq`` is x^q mod the input, which the engine computed once; it is not
+    part of the result's equality or repr.
+    """
 
     parts: list[tuple[Poly, int]] = field(default_factory=list)
+    xq: Poly | None = field(default=None, compare=False, repr=False)
 
     def degrees(self) -> list[int]:
         return [d for (_, d) in self.parts]
@@ -300,7 +307,7 @@ def ddf(
                 enqueue(g_prev, k_run)
 
     parts = sorted(merged.items())
-    result = DdfResult([(poly, d) for d, poly in parts])
+    result = DdfResult([(poly, d) for d, poly in parts], sigma.image)
 
     check = Poly.one(f.ctx)
     for poly, _ in result.parts:

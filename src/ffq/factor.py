@@ -4,7 +4,8 @@
 on p-th roots in characteristic p), runs the order-driven
 distinct-degree engine on each squarefree part, and splits each same-degree
 block into irreducibles (Cantor-Zassenhaus for odd q, trace maps for
-characteristic 2).  Every output is audited to multiply back to the input.
+characteristic 2), with the x^q mod the part that the engine computed.
+Every output is audited to multiply back to the input.
 """
 
 from __future__ import annotations
@@ -79,14 +80,16 @@ def sff(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def edf(f: Poly, d: int, rng=None) -> list[Poly]:
+def edf(f: Poly, d: int, rng=None, xq: Poly | None = None) -> list[Poly]:
     """Split monic f, a product of distinct degree-d irreducibles.
 
     Each round takes an unsplit block h, draws a random nonconstant u of
     degree < deg h and runs ``classical.split_probe``: for odd q, gcd with
     u^((q^d-1)/2) - 1 separates the factors with probability >= 1/2; in
     characteristic 2 the absolute trace sum u + u^2 + ... + u^(2^(dm-1))
-    plays the same role.
+    plays the same role.  ``xq`` is x^q mod f, or mod a multiple of f, when
+    the caller has it; it goes to every probe, which reduces it mod its
+    block when it takes the Frobenius form.
     """
     if d < 1 or f.degree < 1 or f.degree % d != 0:
         raise errors.BadInput("degree of f must be a positive multiple of d")
@@ -108,7 +111,7 @@ def edf(f: Poly, d: int, rng=None) -> list[Poly]:
         if u.degree < 1:
             work.append(h)  # constants never split; redraw
             continue
-        g = split_probe(h, d, u)
+        g = split_probe(h, d, u, xq)
         if 0 < g.degree < h.degree:
             work.append(g)
             work.append(h // g)
@@ -134,11 +137,12 @@ def factor(f: Poly, oracle: OrderOracle | None = None, rng=None) -> Factorizatio
     unit = f.lead()
     out: list[tuple[Poly, int]] = []
     for sq_part, mult in sff(f):
-        for block, d in ddf(sq_part, oracle=oracle, rng=rng).parts:
+        res = ddf(sq_part, oracle=oracle, rng=rng)
+        for block, d in res.parts:
             if block.degree == d:
                 out.append((block, mult))
             else:
-                for irr in edf(block, d, rng):
+                for irr in edf(block, d, rng, res.xq):
                     out.append((irr, mult))
     out.sort(key=lambda t: (t[0].degree, t[0].sort_key()))
     result = Factorization(unit, out)

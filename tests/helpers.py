@@ -77,6 +77,22 @@ def ladder_by_powering(f):
     return parts
 
 
+def count_classical_frobenius(monkeypatch):
+    """Record the modulus degree of every ``frobenius`` call made inside
+    ``ffq.classical``; returns the list the calls append to."""
+    import ffq.classical as classical
+
+    calls = []
+    real = classical.frobenius
+
+    def counted(f, check=True):
+        calls.append(f.degree)
+        return real(f, check)
+
+    monkeypatch.setattr(classical, "frobenius", counted)
+    return calls
+
+
 def all_monic(ctx, d):
     """Every monic polynomial of degree d, in index order."""
     q = ctx.q

@@ -11,14 +11,17 @@ import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
+import ffq.classical as classical
 from ffq import errors, field_new
 from ffq.classical import (
     BLOCK_MIN,
+    _composes,
     brute_factor,
     distinct_degree_parts,
     equal_degree_split_det,
     irreducibles,
     is_irreducible,
+    split_probe,
     splitting_degree,
 )
 from ffq.poly import (
@@ -26,7 +29,10 @@ from ffq.poly import (
     counters,
     frobenius,
     gcd,
+    mulmod,
+    powmod,
     random_monic,
+    random_poly,
     random_squarefree,
     reset_counters,
     x_poly,
@@ -35,6 +41,7 @@ from ffq.rng import make_rng
 
 from helpers import (
     all_monic,
+    count_classical_frobenius,
     count_irreducibles,
     distinct_irreducibles,
     ladder_by_powering,
@@ -218,18 +225,131 @@ def test_splitting_degree_is_lcm_of_factor_degrees():
         assert splitting_degree(product(F3, polys)) == math.lcm(*shape)
 
 
-def test_equal_degree_split_recovers_constructed_factors():
+PROBE_FIELDS = {
+    "F2": F2,
+    "F3": F3,
+    "F101": field_new(101),
+    "F2^61-1": field_new((1 << 61) - 1),
+    "F4": F4,
+    "F9": field_new(3, 2, [1, 0, 1]),
+    "F256": field_new(2, 8, [1, 1, 0, 1, 1, 0, 0, 0, 1]),
+}
+
+
+def test_equal_degree_split_recovers_constructed_factors(monkeypatch):
+    # F_101 probes its blocks in the Frobenius form; x^q mod f is computed
+    # once per call, not once per block.
+    calls = count_classical_frobenius(monkeypatch)
     rng = make_rng(888)
-    for ctx in [F2, F3, F4, F5]:
-        for d, count in [(1, 2), (2, 2), (2, 3), (3, 2)]:
-            if len(irreducibles(ctx, d)) < count:
+    for ctx in [F2, F3, F4, F5, PROBE_FIELDS["F101"]]:
+        for d, count in [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)]:
+            if count_irreducibles(ctx.q, d) < count:
                 continue
             polys = distinct_irreducibles(ctx, [d] * count, rng)
             f = product(ctx, polys)
+            calls.clear()
             got = equal_degree_split_det(f, d)
             assert got == sorted(polys, key=Poly.sort_key)
+            assert calls == ([f.degree] if d > 1 else []), (ctx.q, d, count)
     with pytest.raises(errors.BadInput):
         equal_degree_split_det(Poly(F2, [1, 1, 0, 1]), 2)
+
+
+def direct_probe(h, d, u):
+    """The probe by its definition: gcd of h with u^((q^d-1)/2) - 1 for odd
+    q, or with the absolute trace, dm - 1 squarings, in characteristic 2."""
+    ctx = h.ctx
+    if ctx.p != 2:
+        t = powmod(u, (ctx.q**d - 1) // 2, h) - Poly.one(ctx)
+    else:
+        t = cur = u % h
+        for _ in range(d * ctx.m - 1):
+            cur = mulmod(cur, cur, h)
+            t = t + cur
+    return h if t.is_zero() else gcd(t, h)
+
+
+def fold_modcomps(d):
+    """Compositions of the Frobenius form's doubling for d conjugates: one
+    per doubling and per step by one, and one per update of sigma^k that a
+    later doubling reads."""
+    bits = bin(d)[3:]
+    return len(bits) + bits.count("1") + sum(1 + (b == "1") for b in bits[:-1])
+
+
+@pytest.mark.parametrize("name", list(PROBE_FIELDS))
+def test_split_probe_forms_agree_with_the_direct_probe(name, monkeypatch):
+    # h is a product of two distinct degree-d irreducibles (F_2 has only one
+    # quadratic).  The probe must equal its definition under the real rule,
+    # and with either form forced, with x^q mod h, mod a multiple of h, or
+    # none given.  u runs reduced and unreduced mod h.
+    ctx = PROBE_FIELDS[name]
+    rng = make_rng(31 + ctx.q % 1000)
+    degrees = list(range(3 if ctx.q == 2 else 2, 21))
+    if ctx.q > 100:
+        degrees = degrees[:7] + [11, 20]
+    cases = []
+    for d in degrees:
+        a, b, c = distinct_irreducibles(ctx, [d, d, d + 1], rng)
+        h = a * b
+        xqs = [None, frobenius(h).image, frobenius(h * c).image]
+        us = [random_poly(ctx, int(rng.integers(1, 2 * d)), rng),
+              random_poly(ctx, 3 * d, rng)]
+        cases.append((h, d, xqs, us, [direct_probe(h, d, u) for u in us]))
+    splits = 0
+    forms = {"rule": _composes, "frobenius": lambda q, n: True, "direct": lambda q, n: False}
+    for form, rule in forms.items():
+        monkeypatch.setattr(classical, "_composes", rule)
+        for h, d, xqs, us, want in cases:
+            for u, w in zip(us, want):
+                splits += 0 < w.degree < h.degree
+                for xq in xqs if form == "frobenius" else xqs[:2]:
+                    assert split_probe(h, d, u, xq) == w, (form, d, xq is None)
+    assert splits > len(cases)  # the probes split, so the values are not trivial
+
+
+# F_101 composes up to deg h = 24 and F_256 up to 15; each has a case on
+# both sides of that edge.
+ROUTE_CASES = [
+    ("F2", 3, 2), ("F3", 4, 2), ("F4", 3, 2), ("F9", 2, 2), ("F101", 2, 2),
+    ("F101", 2, 12), ("F101", 5, 5), ("F2^61-1", 2, 2), ("F2^61-1", 3, 2),
+    ("F2^61-1", 10, 2), ("F256", 3, 5), ("F256", 8, 2),
+]
+
+
+@pytest.mark.parametrize("name, d, k", ROUTE_CASES)
+def test_split_probe_route_and_product_counts(name, d, k):
+    # The probe composes exactly when d > 1 and _composes(q, deg h), h a
+    # product of k degree-d irreducibles.  The direct form takes the
+    # square-and-multiply count of its exponent (dm - 1 squarings in
+    # characteristic 2) and no composition; the Frobenius form takes the
+    # doubling's compositions and fewer products, plus bit_length(q) - 1
+    # squarings for x^q mod h when none is given.
+    ctx = PROBE_FIELDS[name]
+    rng = make_rng(37 * d + k)
+    h = product(ctx, distinct_irreducibles(ctx, [d] * k, rng))
+    xq = frobenius(h).image
+    u = random_poly(ctx, h.degree - 1, rng)
+    if ctx.p != 2:
+        e = (ctx.q**d - 1) // 2
+        direct = e.bit_length() + bin(e).count("1") - 2
+    else:
+        direct = d * ctx.m - 1
+    used = []
+    for given in [xq, None]:
+        before = counters()
+        split_probe(h, d, u, given)
+        after = counters()
+        used.append((after["mul"] - before["mul"], after["modcomp"] - before["modcomp"]))
+    (mul, comps), (mul_none, comps_none) = used
+    if d > 1 and _composes(ctx.q, h.degree):
+        assert comps == comps_none == fold_modcomps(d)
+        assert mul < direct
+        assert mul_none - mul == ctx.q.bit_length() - 1
+    else:
+        assert used == [(direct, 0), (direct, 0)]
+    if (name, d, k) == ("F2^61-1", 10, 2):
+        assert fold_modcomps(d) == 7 and 3 * mul < direct == 903
 
 
 def test_brute_factor_reconstructs_random_inputs():

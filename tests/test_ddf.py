@@ -7,6 +7,7 @@ import pytest
 from ffq import counters, errors, field_new
 from ffq.classical import BLOCK_MIN, distinct_degree_parts
 from ffq.ddf import (
+    DdfResult,
     ddf,
     default_ell,
     extract_small_degrees,
@@ -359,3 +360,14 @@ def test_ddf_trace_primes_factor_each_order():
             assert math.prod(p**e for p, e in rec["primes"]) == rec["d"]
         if ell == 1:
             assert any(rec["fallback"] for rec in trace)
+
+
+def test_ddf_result_carries_xq_outside_equality_and_repr():
+    rng = make_rng(47)
+    for ctx in [F3, F9, field_new((1 << 61) - 1)]:
+        f = random_squarefree(ctx, 12, rng)
+        res = ddf(f, rng=rng)
+        assert res.xq == frobenius(f).image
+        bare = DdfResult(res.parts)
+        assert bare.xq is None and bare == res and repr(bare) == repr(res)
+        assert DdfResult(res.parts, Poly.one(ctx)) == res

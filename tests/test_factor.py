@@ -8,13 +8,19 @@ import pytest
 
 import ffq
 from ffq import errors, field_new
-from ffq.classical import brute_factor, is_irreducible
+from ffq.classical import _composes, brute_factor, is_irreducible
 from ffq.factor import Factorization, edf, factor, sff
 from ffq.order import OracleConfig, OrderOracle
-from ffq.poly import Poly, gcd, random_monic
+from ffq.poly import Poly, counters, frobenius, gcd, random_monic
 from ffq.rng import make_rng, trial_rng
 
-from helpers import count_irreducibles, distinct_irreducibles, product, rand_irreducible
+from helpers import (
+    count_classical_frobenius,
+    count_irreducibles,
+    distinct_irreducibles,
+    product,
+    rand_irreducible,
+)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -22,6 +28,9 @@ F4 = field_new(2, 2, rng=make_rng(16))
 F5 = field_new(5)
 F7 = field_new(7)
 F9 = field_new(3, 2, [1, 0, 1])
+F101 = field_new(101)
+FP61 = field_new((1 << 61) - 1)
+F256 = field_new(2, 8, [1, 1, 0, 1, 1, 0, 0, 0, 1])
 
 
 def test_sff_fixed_example():
@@ -89,6 +98,44 @@ def test_edf_splits_constructed_products():
             f = product(ctx, polys)
             got = edf(f, d, rng)
             assert got == sorted(polys, key=Poly.sort_key), (ctx.q, d, count)
+
+
+@pytest.mark.parametrize("ctx", [F101, FP61, F256], ids=["F101", "F2^61-1", "F256"])
+def test_edf_frobenius_form_with_and_without_xq(ctx, monkeypatch):
+    # Three degree-d factors, so the probes also run on the degree-2d blocks
+    # a first split leaves.  xq is x^q mod a multiple of f, as factor passes
+    # x^q mod the squarefree part.  Every block composes; given xq, no probe
+    # computes x^q itself.  With or without xq the draws, and so the factors
+    # and the generator state, agree.
+    calls = count_classical_frobenius(monkeypatch)
+    rng = make_rng(233)
+    for d in [2, 3, 5]:
+        polys = distinct_irreducibles(ctx, [d, d, d], rng)
+        f = product(ctx, polys)
+        assert _composes(ctx.q, f.degree)
+        xq = frobenius(f * rand_irreducible(ctx, d + 1, rng)).image
+        seed = int(rng.integers(1 << 30))
+        r_xq, r_none = make_rng(seed), make_rng(seed)
+        before = counters()["modcomp"]
+        calls.clear()
+        got = edf(f, d, r_xq, xq)
+        assert counters()["modcomp"] > before and calls == []
+        assert got == edf(f, d, r_none) == sorted(polys, key=Poly.sort_key), (ctx.q, d)
+        assert calls  # without xq, each probe computes x^q mod its block
+        assert r_xq.bytes(32) == r_none.bytes(32)  # the generators left in step
+
+
+def test_factor_hands_the_engine_xq_to_edf(monkeypatch):
+    # Over F_{2^61-1} every probe here composes, on the x^q mod the
+    # squarefree part that ddf computed: the probes compute none of their own.
+    calls = count_classical_frobenius(monkeypatch)
+    rng = make_rng(239)
+    polys = distinct_irreducibles(FP61, [3, 3, 3, 2, 2], rng)
+    twice = polys[0]
+    res = factor(product(FP61, polys) * twice, OrderOracle(OracleConfig()), rng)
+    want = sorted(polys, key=lambda g: (g.degree, g.sort_key()))
+    assert res.factors == [(g, 2 if g == twice else 1) for g in want]
+    assert calls == []
 
 
 def test_edf_single_factor_short_circuit():
