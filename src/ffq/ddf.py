@@ -13,7 +13,8 @@ and are emitted.
 The Frobenius map is computed once, for the input; a child of stride s*k
 inherits its parent's sigma^s restricted to its modulus, to the k-th power.
 The gcds use the cofactor powers the oracle computed when it verified d.
-The same x^q mod the input seeds the classical shadow and is returned as
+The same x^q mod the input seeds the classical shadow, computed once per
+call, which also checks that the input is squarefree, and is returned as
 ``DdfResult.xq``, for the equal-degree splitting that follows.
 
 When an order estimate fails (order above 2^ell), the fallback strips all
@@ -179,21 +180,16 @@ class DdfResult:
         return [d for (_, d) in self.parts]
 
 
-def _shadow_hint_fn(f_top: Poly, xq: Poly):
+def _shadow_hint_fn(shadow: list[tuple[Poly, int]]):
     """True order provider for the measurement simulation.
 
-    One classical distinct-degree shadow of the top-level input is computed
-    lazily, from the engine's x^q mod the input ``xq``; the order of sigma^s
-    on any divisor g of the input is then lcm(D / gcd(s, D)) over the
-    distinct factor degrees D present in g, found by gcds against the shadow
-    parts.
+    ``shadow`` is the classical distinct-degree split of the top-level
+    input; the order of sigma^s on any divisor g of the input is then
+    lcm(D / gcd(s, D)) over the distinct factor degrees D present in g,
+    found by gcds against the shadow parts.
     """
-    shadow: list[tuple[Poly, int]] | None = None
 
     def hint(modulus: Poly, stride: int) -> int:
-        nonlocal shadow
-        if shadow is None:
-            shadow = distinct_degree_parts(f_top, xq)
         present = [dd for part, dd in shadow if gcd(modulus, part).degree > 0]
         return order_from_degrees(present, stride)
 
@@ -215,17 +211,15 @@ def ddf(
     """
     if not f.is_monic() or len(f.coeffs) < 2:
         raise errors.BadInput("input must be monic of degree >= 1")
-    der = f.deriv()
-    if der.is_zero() or gcd(f, der).degree > 0:
-        raise errors.NotSquarefree("input must be squarefree")
+    sigma = frobenius(f, check=False)
+    # The shadow checks that f is squarefree, raising NotSquarefree.
+    hint_fn = _shadow_hint_fn(distinct_degree_parts(f, sigma.image))
     if oracle is None:
         oracle = OrderOracle(OracleConfig())
     if rng is None:
         rng = make_rng()
     n = f.degree
     ell_used = ell if ell is not None else default_ell(n)
-    sigma = frobenius(f, check=False)
-    hint_fn = _shadow_hint_fn(f, sigma.image)
     x = x_poly(f.ctx)
 
     merged: dict[int, Poly] = {}

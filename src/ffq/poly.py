@@ -34,17 +34,16 @@ Arithmetic modulo f runs in a reduction context from ``_modctx``, built
 once per modulus for f.monic() and cached on f.  ``mulmod``, ``powmod``,
 ``frobenius`` and ``modcomp`` are written once over its primitives:
 residue in and out, packing, product, shift by x, add and block sums.  The
-contexts are the only code that reduces by a Newton inverse, and one rule
-picks them.  f of degree below ``_NEWTON_MIN`` gets the list context
-``_PolyCtx``, whose residues are reduced ``Poly`` values and whose products
-take schoolbook division.  From that degree on, a product is reduced by the
-Newton inverse of reversed f, held by the context: over a prime field, at
-every p, in the packed ``_ModCtx``, and over F_{p^m} in ``_PolyCtx``.
-``_ModCtx`` residues stay numpy arrays between products (int64 below 2^62,
-Python ints above) and become lists only when they leave as a ``Poly``; a
-modular product is three big-integer products, against f's low part and
-the Newton inverse, both packed once, in numpy lanes where products fit 64
-bits and in byte lanes otherwise.
+degree of f alone picks the context, over every field.  Below
+``_NEWTON_MIN`` it is the list context ``_PolyCtx``, whose residues are
+reduced ``Poly`` values and whose products take schoolbook division.  From
+that degree on it is the packed ``_ModCtx``, the only code that reduces by
+a Newton inverse (of reversed f, built once).  Its residues stay numpy
+arrays between products, (n,) over F_p and (n, m) over F_{p^m}, int64 while
+that cannot overflow and Python ints above, and become lists only when they
+leave as a ``Poly``; a modular product is three big-integer products,
+against f's low part and the Newton inverse, both packed once, in numpy
+lanes where products fit 64 bits and in byte lanes otherwise.
 
 The Frobenius image x^q mod f is computed by square-and-shift: a set bit
 of q costs a shift and one reduction step, not a product.  Endomorphism
@@ -85,13 +84,14 @@ __all__ = [
 ]
 
 SCHOOLBOOK_MAX = 8  # up to this length, schoolbook multiplication wins
-# Arithmetic mod f reduces by the Newton inverse of reversed f from this
-# degree of f on: in the packed ``_ModCtx`` over every prime field, in the
-# list context ``_PolyCtx`` over F_{p^m}.  Below it the list context takes
-# schoolbook division.  Timed per product with both contexts built, packed
-# loses to (a * b) % f at degree 7 over F_{2^31-1} and F_{2^61-1} and wins
-# from degree 8 on over those, F_3 and F_101; over F_4, F_9 and
-# F_{(2^31-1)^2}, Newton reduction breaks even near degree 8.
+# Arithmetic mod f reduces by the Newton inverse of reversed f, in the
+# packed ``_ModCtx``, from this degree of f on, over every field.  Below it
+# the list context ``_PolyCtx`` takes schoolbook division.  Timed per
+# product with both contexts built, packed loses to (a * b) % f at degree 7
+# over F_{2^31-1} and F_{2^61-1} and wins from degree 8 on over those, F_3
+# and F_101.  Over F_9 and F_{2^8} the packed context already wins at
+# degree 7 (timeit: 22 against 45 us, 33 against 234 us on a Xeon vCPU);
+# one threshold serves every field.
 _NEWTON_MIN = 8
 
 _counters = {"mul": 0, "modcomp": 0}
@@ -578,54 +578,62 @@ def _modctx(f: Poly):
 
     It is built once per modulus, for f.monic(), which leaves the same
     remainders as f, and cached on f.  It holds a copy of f.monic(), never f
-    itself, so that f and its context form no reference cycle.  f of degree
-    below ``_NEWTON_MIN`` gets the list context ``_PolyCtx``, which divides
-    schoolbook.  From that degree on, reduction is by a Newton inverse: in
-    the packed ``_ModCtx`` over every prime field, and in ``_PolyCtx`` over
-    F_{p^m}.
+    itself, so that f and its context form no reference cycle.  The degree
+    of f alone picks it, over every field: below ``_NEWTON_MIN`` the list
+    context ``_PolyCtx``, which divides schoolbook, and from it on the packed
+    ``_ModCtx``, which reduces by a Newton inverse.
     """
     mc = f._mod
     if mc is None:
         # A zero f gets a context whose residue() raises ZeroDivisionError.
         g = Poly(f.ctx, f.monic().coeffs if f.coeffs else [], normalize=False)
-        if g.ctx.m == 1 and len(g.coeffs) - 1 >= _NEWTON_MIN:
-            mc = _ModCtx(g)
-        else:
-            mc = _PolyCtx(g)
+        mc = _ModCtx(g) if len(g.coeffs) - 1 >= _NEWTON_MIN else _PolyCtx(g)
         f._mod = mc
     return mc
 
 
 class _ModCtx:
-    """Residues modulo a monic f of degree n over F_p as packed lanes.
+    """Residues modulo a monic f of degree n over F_q, q = p^m, as packed lanes.
 
-    A residue is a numpy array of n reduced coefficients: int64 while
-    p < 2^62, which keeps the sum of two of them inside int64, and Python
-    ints (dtype ``object``) from 2^62 on.  f's low n coefficients and the
-    Newton inverse of reversed f modulo x^(n-1) are packed once, so a
-    modular product is three big-integer products: a*b, its reversed top
-    half times the inverse (the quotient), and the quotient times f's low
-    part.  A lane holds n products of two coefficients, enough for every one
-    of them and for Brent-Kung block sums of at most n terms.  Lanes of at
-    most 64 bits (``dt`` set) are numpy lanes; wider ones are byte lanes of
-    ``wb`` bytes (``dt`` None), unpacked and reduced through Python ints.
+    A residue is a numpy array of n reduced coefficients, of shape (n,) over
+    F_p and (n, m) over F_{p^m}: int64 while 2p + (m - 1)(p - 1)^2 < 2^63,
+    which keeps the sum of two residues and a folded lane group inside int64
+    (p < 2^62 at m = 1), and Python ints (dtype ``object``) above.  Packing
+    spreads an F_{p^m} coefficient over 2m - 1 lanes, its m y-coefficients
+    and m - 1 zeros, so a product keeps each y-convolution in its own group;
+    reading a group back folds it mod h with the rows of ``ytab``.
+    f's low n coefficients and the Newton inverse of reversed f modulo
+    x^(n-1) are packed once, so a modular product is three big-integer
+    products: a*b, its reversed top half times the inverse (the quotient),
+    and the quotient times f's low part.  A lane holds n*m products of two
+    F_p coefficients, enough for every one of them and for Brent-Kung block
+    sums of at most n terms.  Lanes of at most 64 bits (``dt`` set) are
+    numpy lanes; wider ones are byte lanes of ``wb`` bytes (``dt`` None),
+    unpacked and reduced through Python ints.
     """
 
-    __slots__ = ("ctx", "p", "n", "wb", "dt", "rdt", "f", "low", "flow", "finv")
+    __slots__ = ("ctx", "p", "m", "n", "wb", "dt", "rdt", "f", "low", "ytab", "flow", "finv")
 
     def __init__(self, f: Poly):
-        p = f.ctx.p
+        ctx = f.ctx
+        p, m = ctx.p, ctx.m
         n = len(f.coeffs) - 1
-        self.ctx, self.p, self.n = f.ctx, p, n
-        self.wb, self.dt = _pack_width(n, p)
-        self.rdt = np.int64 if p < 1 << 62 else object  # residue dtype
-        self.f = f.coeffs
+        self.ctx, self.p, self.m, self.n, self.f = ctx, p, m, n, f
+        self.wb, self.dt = _pack_width(n * m, p)
+        fits = 2 * p + (m - 1) * (p - 1) ** 2 < 1 << 63
+        self.rdt = np.int64 if fits else object  # residue dtype
         self.low = np.array(f.coeffs[:n], dtype=self.rdt)
+        self.ytab = np.array(ctx._ytab, dtype=self.rdt) if m > 1 else None
         self.flow = self.pack(self.low)
-        inv = _series_inv(f.coeffs[::-1], n - 1, f.ctx)
+        inv = _series_inv(f.coeffs[::-1], n - 1, ctx)
         self.finv = self.pack(np.array(inv, dtype=self.rdt))
 
     def pack(self, a: np.ndarray) -> int:
+        m = self.m
+        if m > 1:
+            wide = np.zeros((len(a), 2 * m - 1), dtype=a.dtype)
+            wide[:, :m] = a
+            a = wide.ravel()
         if self.dt is not None:
             return int.from_bytes(a.astype(self.dt).tobytes(), "little")
         if self.rdt is object:
@@ -636,29 +644,40 @@ class _ModCtx:
         return int.from_bytes(buf.tobytes(), "little")
 
     def lanes(self, v: int, k: int) -> np.ndarray:
-        """The lowest ``k`` lanes of ``v``: unreduced numpy lanes, or byte
-        lanes reduced mod p, since those need not fit int64."""
-        wb = self.wb
+        """The lowest ``k`` coefficients of ``v``, not reduced mod p.  Over
+        F_p they are numpy lanes, or byte lanes reduced mod p, since those
+        need not fit int64; over F_{p^m} each group of 2m - 1 lanes is
+        reduced mod p and folded mod h, to values below
+        p + (m - 1)(p - 1)^2."""
+        m, wb = self.m, self.wb
+        k *= 2 * m - 1
         buf = v.to_bytes(max(k * wb, (v.bit_length() + 7) // 8), "little")
         if self.dt is None:
-            return np.array(_byte_lanes(buf, k, wb, self.p), dtype=self.rdt)
-        return np.frombuffer(buf, dtype=self.dt, count=k).astype(np.int64)
+            out = np.array(_byte_lanes(buf, k, wb, self.p), dtype=self.rdt)
+        else:
+            out = np.frombuffer(buf, dtype=self.dt, count=k).astype(np.int64)
+        if m == 1:
+            return out
+        out = out.reshape(-1, 2 * m - 1) % self.p
+        return out[:, :m] + out[:, m:] @ self.ytab
 
     def residue(self, a: Poly) -> np.ndarray:
         if a.ctx != self.ctx:
             raise errors.FieldMismatch("operands from different fields")
-        c = a.coeffs
-        if len(c) > self.n:
-            c = _divmod_int(c, self.f, self.p)[1]
-        out = np.zeros(self.n, dtype=self.rdt)
-        out[: len(c)] = c
+        if len(a.coeffs) > self.n:
+            a = a % self.f
+        out = np.zeros_like(self.low)
+        if a.coeffs:  # [] does not broadcast into shape (0, m)
+            out[: len(a.coeffs)] = a.coeffs
         return out
 
     def poly(self, a: np.ndarray) -> Poly:
-        return Poly(self.ctx, a.tolist())
+        if self.m == 1:
+            return Poly(self.ctx, a.tolist())
+        return Poly(self.ctx, [tuple(c) for c in a.tolist()])
 
-    def const(self, c: int) -> np.ndarray:
-        out = np.zeros(self.n, dtype=self.rdt)
+    def const(self, c) -> np.ndarray:
+        out = np.zeros_like(self.low)
         out[0] = c
         return out
 
@@ -674,47 +693,41 @@ class _ModCtx:
         return (a + b) % self.p
 
     def shift(self, a: np.ndarray) -> np.ndarray:
-        """x * a mod f: a shift, then x^n = -(f's low part) for the top lane."""
+        """x * a mod f: a shift, then x^n = -(f's low part) for the top
+        coefficient, over F_{p^m} as one packed product."""
         out = np.empty_like(a)
         out[0] = 0
         out[1:] = a[:-1]
+        if self.m > 1:
+            return (out - self.lanes(self.pack(a[-1:]) * self.flow, self.n)) % self.p
         top = a[-1]
         if not top:
             return out
         if self.dt is None:  # top * low may pass int64: form it in Python ints
             t, p = int(top), self.p
-            out = [(x - t * y) % p for x, y in zip(out.tolist(), self.f)]
+            out = [(x - t * y) % p for x, y in zip(out.tolist(), self.f.coeffs)]
             return np.array(out, dtype=self.rdt)
         return (out - top * self.low) % self.p
 
-    def blocks(self, coeffs: list[int], powers: list[int]) -> list[np.ndarray]:
+    def blocks(self, coeffs: list, powers: list[int]) -> list[np.ndarray]:
         """``_dots`` of coeffs and the packed powers g^j, j < t <= n, as residues."""
-        return [self.lanes(v, self.n) % self.p for v in _dots(coeffs, powers)]
+        scalars = _scalars(coeffs, self.m, self.wb)
+        return [self.lanes(v, self.n) % self.p for v in _dots(scalars, powers)]
 
 
 class _PolyCtx:
-    """Residues modulo a monic f of degree n as reduced ``Poly`` values: the
-    list context, for f of degree below ``_NEWTON_MIN`` over every field and
-    for f of every degree over F_{p^m}.
+    """Residues modulo a monic f of degree n below ``_NEWTON_MIN`` as reduced
+    ``Poly`` values: the list context, over every field.
 
-    The packed form of a residue is the residue itself.  A product is a * b
-    on the general kernels, then reduced mod f.  Over F_{p^m} from degree
-    ``_NEWTON_MIN`` on, the context holds the Newton inverse of reversed f
-    modulo x^(n-1), built once, and a product's quotient is its reversed top
-    half times that inverse; every other product takes schoolbook division.
-    The Newton path is written for F_{p^m} alone: a prime-field f of that
-    degree gets ``_ModCtx``.
+    The packed form of a residue is the residue itself, and a product is
+    a * b on the general kernels, then divided schoolbook by f.
     """
 
-    __slots__ = ("f", "n", "finv")
+    __slots__ = ("f", "n")
 
     def __init__(self, f: Poly):
-        ctx = f.ctx
         self.f = f
-        self.n = n = len(f.coeffs) - 1
-        self.finv = None
-        if ctx.m > 1 and n >= _NEWTON_MIN:
-            self.finv = _series_inv(f.coeffs[::-1], n - 1, ctx)
+        self.n = len(f.coeffs) - 1
 
     def residue(self, a: Poly) -> Poly:
         return a % self.f
@@ -731,21 +744,7 @@ class _PolyCtx:
 
     def mul(self, a: Poly, b: Poly) -> Poly:
         """(a * b) mod f for residues a and b."""
-        prod = a * b
-        n = self.n
-        if len(prod.coeffs) <= n:
-            return prod
-        if self.finv is None:
-            return prod % self.f
-        ctx, c, f = prod.ctx, prod.coeffs, self.f.coeffs
-        m = ctx.m
-        k = len(c) - n  # the quotient's length, below n
-        # c - q*f needs only the low n coefficients of q*f, and they come
-        # from q and the low n coefficients of f.
-        q = _mul_ext(c[::-1][:k], self.finv[:k], ctx)[:k][::-1]
-        qf = _mul_int(_flat(q, m), _flat(f[:n], m), ctx.p)
-        low = _flat(c[:n], m) + [0] * (m - 1)
-        return Poly(ctx, _fold([x - y for x, y in zip(low, qf)], ctx))
+        return a * b % self.f
 
     def add(self, a: Poly, b: Poly) -> Poly:
         return a + b
@@ -759,24 +758,25 @@ class _PolyCtx:
         return a
 
     def blocks(self, coeffs: list, powers: list[Poly]) -> list[Poly]:
-        """``_dots`` of coeffs and the powers g^j, packed here.
-
-        Over F_{p^m} each g^j is packed from its flat lanes and each scalar
-        as an m-lane integer, so one big-integer product forms the
-        y-convolution of the scalar with every coefficient of g^j.
-        """
+        """``_dots`` of coeffs and the powers g^j, packed here from their
+        flat lanes."""
         ctx = self.f.ctx
         p, m = ctx.p, ctx.m
         wb, dt = _pack_width(len(powers) * m, p)
-        if m == 1:
-            packed = [_pack(g.coeffs, wb, dt) for g in powers]
-        else:
-            packed = [_pack(_flat(g.coeffs, m), wb, dt) for g in powers]
-            shifts = [8 * wb * s for s in range(m)]
-            coeffs = [sum([v << sh for v, sh in zip(c, shifts)]) for c in coeffs]
+        packed = [_pack(g.coeffs if m == 1 else _flat(g.coeffs, m), wb, dt) for g in powers]
         k = self.n * (2 * m - 1)
-        out = [_unpack(v, k, wb, dt, p) for v in _dots(coeffs, packed)]
+        out = [_unpack(v, k, wb, dt, p) for v in _dots(_scalars(coeffs, m, wb), packed)]
         return [Poly(ctx, c if m == 1 else _fold(c, ctx)) for c in out]
+
+
+def _scalars(coeffs: list, m: int, wb: int) -> list[int]:
+    """Field elements as multipliers of packed polynomials: over F_{p^m} an
+    element's m y-coefficients in m lanes of ``wb`` bytes, so that one
+    big-integer product forms its y-convolution with every coefficient."""
+    if m == 1:
+        return coeffs
+    shifts = [8 * wb * s for s in range(m)]
+    return [sum([v << sh for v, sh in zip(c, shifts)]) for c in coeffs]
 
 
 def _dots(scalars: list[int], packed: list[int]) -> list[int]:

@@ -262,3 +262,33 @@ def test_no_nested_function_calls_itself():
     src = Path(ffq.__file__).parent
     found = [hit for path in sorted(src.glob("*.py")) for hit in _self_recursive_closures(path)]
     assert found == []
+
+
+def _callers(path: Path, name: str) -> list[str]:
+    """'Class.method' or 'function' for each call of ``name`` in path, and
+    '<module>' for a call outside every top-level definition."""
+    tree = ast.parse(path.read_text())
+    calls = {id(n) for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and getattr(n.func, "id", getattr(n.func, "attr", None)) == name}
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            defs = [(f"{top.name}.{d.name}", d) for d in top.body
+                    if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs = [(top.name, top)]
+        else:
+            continue
+        for scope, d in defs:
+            hits = [n for n in ast.walk(d) if id(n) in calls]
+            found += [f"{path.name} {scope}"] * len(hits)
+            calls -= {id(n) for n in hits}
+    return sorted(found + [f"{path.name} <module>"] * len(calls))
+
+
+def test_newton_inverse_has_one_owner():
+    """Reduction by a Newton inverse lives in the packed context alone: the
+    series inverse is built in ``_ModCtx.__init__`` and nowhere else."""
+    src = Path(ffq.__file__).parent
+    found = [hit for path in sorted(src.glob("*.py")) for hit in _callers(path, "_series_inv")]
+    assert found == ["poly.py _ModCtx.__init__"]

@@ -11,12 +11,13 @@ bits.  Division is schoolbook at every size; reduction by a Newton inverse
 lives only in the reduction contexts (products, powers, x^q and
 compositions modulo a fixed f).  One table fixes which context serves each
 field and degree: the list context below the Newton threshold, and from it
-the packed context over every prime field and the list context over
-extension fields.  The packed context is checked at the same lane edges, on
-both sides of the threshold and of p = 2^62, where its residues turn from
-int64 to Python ints, for primes up to 2^127 - 1, for non-monic moduli, and
-with compositions by outer polynomials from the constants up past n^2
-coefficients.  Extension fields are checked on both sides of the threshold.
+the packed context over every field.  The packed context is checked at the
+same lane edges, on both sides of the threshold and of p = 2^62, where its
+residues turn from int64 to Python ints, for primes up to 2^127 - 1, for
+non-monic moduli, and with compositions by outer polynomials from the
+constants up past n^2 coefficients.  Over extension fields it is checked on
+both sides of the threshold, at zero residues and x^q, and with every
+y-coefficient p - 1 on both sides of its int64 residue bound.
 """
 
 import gc
@@ -492,10 +493,12 @@ def test_ext_modcomp_at_short_and_long_outer_lengths_against_reference(name):
 
 
 def ref_powmod(g: Poly, e: int, f: Poly) -> Poly:
-    """g^e mod f by e reference products."""
+    """g^e mod f by square-and-multiply on reference products."""
     out = ref_divmod(Poly.one(f.ctx), f)[1]
-    for _ in range(e):
-        out = ref_divmod(ref_mul(out, g), f)[1]
+    for bit in bin(e)[2:]:
+        out = ref_divmod(ref_mul(out, out), f)[1]
+        if bit == "1":
+            out = ref_divmod(ref_mul(out, g), f)[1]
     return out
 
 
@@ -508,16 +511,15 @@ def ref_powmod(g: Poly, e: int, f: Poly) -> Poly:
 def test_list_context_at_its_newton_thresholds(ctx):
     """mulmod, powmod and modcomp for moduli of degree t - 1, t and t + 1,
     t = _NEWTON_MIN: below t the list context divides schoolbook, and from
-    t on the context holds the inverse of reversed f, the packed context
-    over a prime field and the list context over F_{p^m}."""
+    t on the packed context reduces by the inverse of reversed f, over a
+    prime field and over F_{p^m} alike."""
     t = _NEWTON_MIN
     rng = make_rng(ctx.q % 1000 + 16)
     for n in (t - 1, t, t + 1):
         f = random_monic(ctx, n, rng)
         mc = _modctx(f)
-        assert isinstance(mc, _ModCtx if ctx.m == 1 and n >= t else _PolyCtx), n
+        assert isinstance(mc, _ModCtx if n >= t else _PolyCtx), n
         assert _modctx(f) is mc
-        assert (mc.finv is not None) == (n >= t), n
         a, g = random_poly(ctx, 2 * n, rng), random_poly(ctx, n - 1, rng)
         if ctx.m == 1:
             check_modular(a, g, f)
@@ -529,15 +531,22 @@ def test_list_context_at_its_newton_thresholds(ctx):
         assert modcomp(a, g, f) == ref_modcomp(a, g, f), n
 
 
+def quadratic_field(p: int):
+    """F_{p^2} with a modulus found by ``field_new``'s seeded search."""
+    return field_new(p, 2, rng=make_rng(p % 1000 + 22))
+
+
+# F_{p^2} on both sides of the int64 residue bound 2p + (m - 1)(p - 1)^2 < 2^63.
+P_INT64_EDGE = (3037000493, 3037000507)
+
 # Which context serves a modulus of each degree in ROUTING_DEGREES, one
-# letter a degree: the list context dividing schoolbook (L) or holding a
-# Newton inverse (N), and the packed context with int64 (I) or Python-int (O)
-# residues.
+# letter a degree: the list context dividing schoolbook (L), and the packed
+# context reducing by a Newton inverse, with int64 (I) or Python-int (O)
+# residues.  The degree alone picks the context; the field picks the dtype.
 ROUTES = {
-    "L": (_PolyCtx, None, False),
-    "N": (_PolyCtx, None, True),
-    "I": (_ModCtx, np.dtype(np.int64), True),
-    "O": (_ModCtx, np.dtype(object), True),
+    "L": (_PolyCtx, None),
+    "I": (_ModCtx, np.dtype(np.int64)),
+    "O": (_ModCtx, np.dtype(object)),
 }
 ROUTING_DEGREES = (1, 7, 8, 9, 40)
 ROUTING = {
@@ -550,16 +559,20 @@ ROUTING = {
     "below-2^63": (field_new(prevprime(1 << 63)), "LLOOO"),
     "above-2^64": (field_new(nextprime(1 << 64)), "LLOOO"),
     "2^127-1": (field_new((1 << 127) - 1), "LLOOO"),
-    "F4": (EXT_FIELDS["F4"], "LLNNN"),
-    "F9": (EXT_FIELDS["F9"], "LLNNN"),
-    "F256": (EXT_FIELDS["F256"], "LLNNN"),
+    "F4": (EXT_FIELDS["F4"], "LLIII"),
+    "F9": (EXT_FIELDS["F9"], "LLIII"),
+    "F256": (EXT_FIELDS["F256"], "LLIII"),
+    "Fp31^2": (EXT_FIELDS["Fp31^2"], "LLIII"),  # int64 residues in byte lanes
+    "F(2^61-1)^2": (field_new((1 << 61) - 1, 2, [1, 0, 1]), "LLOOO"),
+    "Fp^2-below-int64": (quadratic_field(P_INT64_EDGE[0]), "LLIII"),
+    "Fp^2-above-int64": (quadratic_field(P_INT64_EDGE[1]), "LLOOO"),
 }
 
 
 @pytest.mark.parametrize("name", ROUTING)
 def test_routing_table_of_the_reduction_contexts(name):
-    """``_modctx`` picks the context class, the residue dtype and whether a
-    Newton inverse is held from the field and the degree of f alone."""
+    """``_modctx`` picks the context class from the degree of f alone, and
+    the packed context's residue dtype from the field."""
     ctx, row = ROUTING[name]
     rng = make_rng(ctx.q % 1000 + 18)
     for n, code in zip(ROUTING_DEGREES, row):
@@ -569,8 +582,71 @@ def test_routing_table_of_the_reduction_contexts(name):
         prod = mc.mul(mc.pack(r), mc.pack(r))
         dtypes = {x.dtype if isinstance(x, np.ndarray) else None for x in (r, prod)}
         assert len(dtypes) == 1, (n, dtypes)
-        got = (type(mc), dtypes.pop(), mc.finv is not None)
+        got = (type(mc), dtypes.pop())
         assert got == ROUTES[code], (n, got)
+
+
+EDGE_FIELDS = {
+    "F9": EXT_FIELDS["F9"],
+    "F27": field_new(3, 3, rng=make_rng(23)),
+    "F256": EXT_FIELDS["F256"],
+}
+
+
+@pytest.mark.parametrize("name", EDGE_FIELDS)
+def test_packed_context_edge_cases_over_extension_fields(name):
+    """The packed context over F_{p^m}, m = 2, 3 and 8, against reference
+    arithmetic at deg f = 8, its threshold, and 9: zero residues, a constant
+    composed, x * a mod f with a zero and a nonzero top coefficient, x^q mod
+    f, and a Brent-Kung block at the cap t = deg f."""
+    ctx = EDGE_FIELDS[name]
+    rng = make_rng(ctx.q % 1000 + 24)
+    zero, one = Poly.zero(ctx), Poly.one(ctx)
+    for n in (_NEWTON_MIN, _NEWTON_MIN + 1):
+        f = random_monic(ctx, n, rng)
+        mc = _modctx(f)
+        assert isinstance(mc, _ModCtx), n
+        g = random_poly(ctx, n - 1, rng)
+        assert mulmod(zero, g, f) == mulmod(g, zero, f) == zero
+        assert powmod(g, 0, f) == powmod(zero, 0, f) == one
+        assert powmod(zero, 3, f) == zero
+        c = Poly.const(ctx, ctx.rand(rng))
+        assert modcomp(c, g, f) == c and modcomp(c, zero, f) == c
+        assert modcomp(g, zero, f) == Poly.const(ctx, g.coeff(0))
+        for top in (ctx.zero, ctx.one, ctx.rand(rng)):
+            a = Poly(ctx, random_poly(ctx, n - 2, rng).coeffs + [top])
+            want = ref_divmod(a.shift(1), f)[1]
+            assert mc.poly(mc.shift(mc.residue(a))) == want, (n, top)
+        x = x_poly(ctx)
+        assert frobenius(f, check=False).image == ref_powmod(x, ctx.q, f), n
+        # n^2 + 1 outer coefficients: the block length is capped at t = n.
+        a = random_poly(ctx, n * n, rng)
+        reset_counters()
+        got = modcomp(a, g, f)
+        b = -(-(n * n + 1) // n)
+        assert counters() == {"mul": n - 2 + b, "modcomp": 1}, n
+        assert got == ref_modcomp(a, g, f), n
+    reset_counters()
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [field_new(16381, 3, rng=make_rng(25))] + [quadratic_field(p) for p in P_INT64_EDGE],
+    ids=["F16381^3", "Fp^2-below-int64", "Fp^2-above-int64"],
+)
+def test_packed_context_worst_case_over_extension_fields(ctx):
+    """Every y-coefficient p - 1 at n = 8: a lane of the product sums n*m
+    products of two coefficients, which sizes the lanes, and the folded
+    groups reach the int64 residue bound on either side of it."""
+    p, m, n = ctx.p, ctx.m, _NEWTON_MIN
+    big = tuple([p - 1] * m)
+    worst = Poly(ctx, [big] * n)
+    f = Poly(ctx, [big] * n + [ctx.one])
+    assert isinstance(_modctx(f), _ModCtx)
+    assert mulmod(worst, worst, f) == ref_divmod(ref_mul(worst, worst), f)[1]
+    assert powmod(worst, 5, f) == ref_powmod(worst, 5, f)
+    long = Poly(ctx, [big] * (n * n + 1))
+    assert modcomp(long, worst, f) == ref_modcomp(long, worst, f)
 
 
 def test_reduction_context_leaves_no_reference_cycle():

@@ -119,12 +119,8 @@ def test_list_context_reduces_every_product_length():
         for _ in range(10):
             f = random_monic(ctx, int(rng.integers(*degrees)), rng)
             n = f.degree
-            if ctx.m == 1:
-                mc = _modctx(f)
-                assert isinstance(mc, _ModCtx)
-            else:
-                mc = _PolyCtx(f)
-                assert (mc.finv is not None) == (n >= _NEWTON_MIN)
+            mc = _modctx(f)
+            assert isinstance(mc, _ModCtx if n >= _NEWTON_MIN else _PolyCtx)
             for length in range(n + 1, 2 * n):
                 a = random_poly(ctx, n - 1, rng)
                 b = random_poly(ctx, length - n, rng)
