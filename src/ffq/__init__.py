@@ -12,7 +12,7 @@ Quick start::
 """
 
 from . import errors
-from .classical import brute_factor, distinct_degree_parts, irreducibles, splitting_degree
+from .classical import distinct_degree_parts, splitting_degree
 from .ddf import (
     DdfResult,
     ddf,
@@ -98,10 +98,8 @@ __all__ = [
     "edf",
     "factor",
     "is_irreducible",
-    "brute_factor",
     "distinct_degree_parts",
     "splitting_degree",
-    "irreducibles",
     "make_rng",
     "trial_rng",
     "rand_below",

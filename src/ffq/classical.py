@@ -1,28 +1,22 @@
-"""Classical reference routines.
+"""Classical routines: the shadow, the strip's ladder, Rabin's test, the EDF probe.
 
-Everything here avoids the order oracle on purpose: it is the independent
-route used to cross-check the engine (and, internally, to seed the
-measurement simulation with true orders).  Its uses of modular
-composition, the large-q steps of ``ladder`` and ``is_irreducible``, are
-checked against sympy in ``tests/test_kernels.py``,
-``tests/test_differential.py`` and ``tests/test_classical.py``; the
-Frobenius form of ``split_probe`` is checked against the probe's
-definition in ``tests/test_classical.py``.  The pieces are
+Everything here avoids the order oracle on purpose.  ``ddf`` runs the
+shadow to give the measurement simulation its true orders, and audits its
+parts against the shadow's.  The module's uses of modular composition,
+the large-q steps of ``ladder`` and ``is_irreducible``, are checked against
+sympy in ``tests/test_kernels.py``, ``tests/test_differential.py`` and
+``tests/test_classical.py``; the Frobenius form of ``split_probe`` is
+checked against the probe's definition in ``tests/test_classical.py``.
+The pieces are
 
 * ``ladder``: distinct-degree splitting with a stride and a degree bound,
-  blocked by interval partition; ``distinct_degree_parts`` runs it with
-  stride 1 and no bound, the engine's fallback strip with its own;
+  blocked by interval partition; ``distinct_degree_parts`` (the shadow)
+  runs it with stride 1 and no bound, the engine's fallback strip with its
+  own;
 * ``is_irreducible``: Rabin's criterion, on a loop of its own;
-* ``irreducibles``: exhaustive sieve enumeration of monic irreducibles for
-  tiny q^d, cached per field;
-* ``split_probe``: one equal-degree splitting attempt, shared by
-  ``equal_degree_split_det`` and the randomized ``factor.edf``; it powers
-  u directly, or first folds u's d conjugates by composing with x^q mod h,
-  by the same ``_composes`` rule as the ladder;
-* ``equal_degree_split_det``: deterministic equal-degree splitting (fixed
-  test-element sequence instead of random draws);
-* ``brute_factor``: trial-division factorization over the enumerated
-  irreducibles with a powering-based fallback, guarded to desk scales.
+* ``split_probe``: one equal-degree splitting attempt, on the random draws
+  of ``factor.edf``; it powers u directly, or first folds u's d conjugates
+  by composing with x^q mod h, by the same ``_composes`` rule as the ladder.
 """
 
 from __future__ import annotations
@@ -31,8 +25,8 @@ import math
 from functools import partial
 
 from . import errors
-from .fields import FieldCtx, factor_int
-from .poly import Endo, Poly, frobenius, gcd, modcomp, mulmod, poly_pth_root, powmod, x_poly
+from .fields import factor_int
+from .poly import Endo, Poly, frobenius, gcd, modcomp, mulmod, powmod, x_poly
 
 __all__ = [
     "ladder",
@@ -40,18 +34,9 @@ __all__ = [
     "splitting_degree",
     "order_from_degrees",
     "is_irreducible",
-    "irreducibles",
-    "equal_degree_split_det",
     "split_probe",
-    "brute_factor",
-    "BRUTE_MAX_DEGREE",
-    "BRUTE_MAX_Q",
-    "ENUM_LIMIT",
 ]
 
-BRUTE_MAX_DEGREE = 24
-BRUTE_MAX_Q = 1 << 20
-ENUM_LIMIT = 4096  # enumerate monic irreducibles of degree d only if q^d <= this
 # The ladder steps in blocks of isqrt(deg cur) from this degree of cur on,
 # and one step at a time below it.  Timed over F_2, F_3, F_9, F_101
 # and F_{2^61-1}, blocking wins in every field from degree 64 on and loses
@@ -193,68 +178,7 @@ def is_irreducible(f: Poly) -> bool:
     return w == x % f
 
 
-# ----------------------------------------------------------------------
-# Exhaustive enumeration of monic irreducibles (tiny fields only).
-# ----------------------------------------------------------------------
-
-_IRR_CACHE: dict[FieldCtx, dict[int, list[Poly]]] = {}
-
-
-def _all_monic(ctx: FieldCtx, k: int):
-    q = ctx.q
-    for idx in range(q**k):
-        coeffs = []
-        v = idx
-        for _ in range(k):
-            coeffs.append(ctx.from_index(v % q))
-            v //= q
-        coeffs.append(ctx.one)
-        yield Poly(ctx, coeffs, normalize=False)
-
-
-def _poly_key(f: Poly) -> tuple[int, ...]:
-    idx = f.ctx.element_index
-    return tuple(idx(c) for c in f.coeffs)
-
-
-def irreducibles(ctx: FieldCtx, d: int) -> list[Poly]:
-    """All monic irreducibles of degree d over ctx, by sieve; cached."""
-    if d < 1:
-        raise errors.BadInput("degree must be >= 1")
-    if ctx.q**d > ENUM_LIMIT:
-        raise errors.TooLarge(f"q^d = {ctx.q**d} exceeds enumeration limit")
-    cache = _IRR_CACHE.setdefault(ctx, {})
-    for k in range(1, d + 1):
-        if k in cache:
-            continue
-        composite: set[tuple[int, ...]] = set()
-        for a in range(1, k // 2 + 1):
-            for ip in cache[a]:
-                for cof in _all_monic(ctx, k - a):
-                    composite.add(_poly_key(ip * cof))
-        cache[k] = [g for g in _all_monic(ctx, k) if _poly_key(g) not in composite]
-    return cache[d]
-
-
-# ----------------------------------------------------------------------
-# Deterministic equal-degree splitting.
-# ----------------------------------------------------------------------
-
-
-def _test_elements(ctx: FieldCtx, max_degree: int):
-    """Nonconstant polynomials of degree < max_degree, in a fixed order."""
-    q = ctx.q
-    idx = q  # skip constants
-    while True:
-        coeffs = []
-        v = idx
-        while v:
-            coeffs.append(ctx.from_index(v % q))
-            v //= q
-        if len(coeffs) > max_degree:
-            return
-        yield Poly(ctx, coeffs)
-        idx += 1
+_IRR_CACHE: dict = {}  # inert: perfbench/spans.py MEMO_TABLES resolves it by name
 
 
 def _fold(u: Poly, d: int, sigma: Endo, join) -> Poly:
@@ -314,132 +238,3 @@ def split_probe(h: Poly, d: int, u: Poly, xq: Poly | None = None) -> Poly:
     if t.is_zero():
         return h
     return gcd(t, h)
-
-
-def equal_degree_split_det(f: Poly, d: int) -> list[Poly]:
-    """Split a monic product of distinct degree-d irreducibles, no randomness.
-
-    Probes a fixed enumeration of test polynomials; for desk-scale inputs the
-    sequence always separates the factors long before it is exhausted.
-    x^q mod f is computed once and serves every probe.
-    """
-    if f.degree % d != 0:
-        raise errors.BadInput("degree of f must be a multiple of d")
-    xq = frobenius(f, check=False).image if d > 1 else None
-    work = [f]
-    done: list[Poly] = []
-    for u in _test_elements(f.ctx, max(f.degree, 1)):
-        still = []
-        for h in work:
-            if h.degree == d:
-                done.append(h)
-                continue
-            g = split_probe(h, d, u, xq)
-            if 0 < g.degree < h.degree:
-                still.append(g)
-                still.append(h // g)
-            else:
-                still.append(h)
-        work = still
-        if not work:
-            break
-        if all(h.degree == d for h in work):
-            done.extend(work)
-            work = []
-            break
-    if work:
-        raise errors.InvariantViolation("test-element sequence exhausted")
-    done.sort(key=Poly.sort_key)
-    return done
-
-
-# ----------------------------------------------------------------------
-# Brute-force factorization (test oracle).
-# ----------------------------------------------------------------------
-
-
-def brute_factor(f: Poly) -> tuple[object, list[tuple[Poly, int]]]:
-    """Factor f by trial division; returns (unit, [(monic irreducible, mult)]).
-
-    Guard rails keep this within desk scale: deg f <= 24 and q <= 2^20.
-    Distinct factors are found by dividing by enumerated irreducibles of
-    increasing degree while q^degree stays within the enumeration budget, and
-    by powering-based distinct/equal-degree splitting beyond it.  The result
-    is verified to multiply back to the input.
-    """
-    if f.is_zero():
-        raise errors.BadInput("cannot factor the zero polynomial")
-    if f.degree > BRUTE_MAX_DEGREE:
-        raise errors.TooLarge(f"degree {f.degree} exceeds {BRUTE_MAX_DEGREE}")
-    ctx = f.ctx
-    if ctx.q > BRUTE_MAX_Q:
-        raise errors.TooLarge(f"field size {ctx.q} exceeds {BRUTE_MAX_Q}")
-    unit = f.lead()
-    out = _brute_monic(f.monic())
-    out.sort(key=lambda t: (t[0].degree, t[0].sort_key()))
-    check = Poly.const(ctx, unit)
-    for g, mult in out:
-        for _ in range(mult):
-            check = check * g
-    if check != f:
-        raise errors.InvariantViolation("brute factorization failed to reconstruct")
-    return unit, out
-
-
-def _brute_monic(g: Poly) -> list[tuple[Poly, int]]:
-    if g.degree == 0:
-        return []
-    der = g.deriv()
-    if der.is_zero():
-        return [(h, m * g.ctx.p) for (h, m) in _brute_monic(poly_pth_root(g))]
-    rad = g // gcd(g, der)
-    out: dict[tuple[int, ...], tuple[Poly, int]] = {}
-    cur = g
-    for h in _split_distinct(rad):
-        mult = 0
-        while True:
-            qt, rem = divmod(cur, h)
-            if not rem.is_zero():
-                break
-            cur = qt
-            mult += 1
-        out[_poly_key(h)] = (h, mult)
-    if cur.degree > 0:
-        # Whatever remains has every multiplicity divisible by p.
-        for h, m in _brute_monic(poly_pth_root(cur)):
-            key = _poly_key(h)
-            if key in out:
-                prev, pm = out[key]
-                out[key] = (prev, pm + m * g.ctx.p)
-            else:
-                out[key] = (h, m * g.ctx.p)
-    return list(out.values())
-
-
-def _split_distinct(g: Poly) -> list[Poly]:
-    """Distinct irreducible factors of monic squarefree g."""
-    ctx = g.ctx
-    out: list[Poly] = []
-    cur = g
-    d = 1
-    while cur.degree > 0:
-        if 2 * d > cur.degree:
-            out.append(cur)
-            break
-        if ctx.q**d <= ENUM_LIMIT:
-            for h in irreducibles(ctx, d):
-                if cur.degree < h.degree:
-                    break
-                qt, rem = divmod(cur, h)
-                if rem.is_zero():
-                    out.append(h)
-                    cur = qt
-            d += 1
-        else:
-            # Enumeration budget exceeded: fall back to powering-based
-            # distinct-degree + deterministic equal-degree splitting.
-            for part, dd in distinct_degree_parts(cur):
-                out.extend(equal_degree_split_det(part, dd))
-            cur = Poly.one(ctx)
-            break
-    return out

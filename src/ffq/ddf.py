@@ -23,7 +23,9 @@ the item's stride and the bound), which provably shrinks the remaining order
 enough for estimates with a larger ell; those repeat with fresh draws until
 one succeeds, up to a fixed cap.
 
-Every run is audited: the emitted parts must multiply back to the input.
+Every run is audited: the emitted parts must multiply back to the input,
+and they must equal the shadow's, which also catches a part whose degree
+label is wrong but divides its degree.
 An optional trace (one dict per processed item) records the shape of the
 recursion for diagnostics and benchmarks.
 """
@@ -213,7 +215,8 @@ def ddf(
         raise errors.BadInput("input must be monic of degree >= 1")
     sigma = frobenius(f, check=False)
     # The shadow checks that f is squarefree, raising NotSquarefree.
-    hint_fn = _shadow_hint_fn(distinct_degree_parts(f, sigma.image))
+    shadow = distinct_degree_parts(f, sigma.image)
+    hint_fn = _shadow_hint_fn(shadow)
     if oracle is None:
         oracle = OrderOracle(OracleConfig())
     if rng is None:
@@ -311,6 +314,8 @@ def ddf(
     for poly, d in result.parts:
         if poly.degree % d != 0:
             raise errors.InvariantViolation("part degree is not a multiple of its class")
+    if result.parts != shadow:
+        raise errors.InvariantViolation("distinct-degree parts differ from the classical shadow")
     return result
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import errors
-from .classical import brute_factor, is_irreducible, split_probe
+from .classical import is_irreducible, split_probe
 from .ddf import ddf
 from .order import OracleConfig, OrderOracle
 from .poly import Poly, gcd, poly_pth_root
@@ -25,7 +25,6 @@ __all__ = [
     "edf",
     "factor",
     "is_irreducible",
-    "brute_factor",
 ]
 
 

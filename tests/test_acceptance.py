@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ffq import errors, field_new
-from ffq.classical import brute_factor, distinct_degree_parts
+from ffq.classical import distinct_degree_parts
 from ffq.ddf import ddf, recursion_audit
 from ffq.factor import factor, sff
 from ffq.fields import factor_int
@@ -32,6 +32,7 @@ from ffq.poly import Poly, counters, frobenius, random_monic, random_squarefree,
 from ffq.rng import make_rng, trial_rng
 
 from helpers import all_monic, distinct_irreducibles, product, rand_irreducible
+from reference_factor import reference_factor
 
 
 def report(capfd, ok, label, detail):
@@ -55,13 +56,13 @@ def test_01_full_factor_agrees_with_brute_force(capfd):
             n = 1 + int(rng.integers(24))
             f = random_monic(ctx, n, rng)
             res = factor(f, oracle, rng)
-            unit, pairs = brute_factor(f)
+            unit, pairs = reference_factor(f)
             total += 1
             if res.unit == unit and res.factors == pairs:
                 agree += 1
     elapsed = time.time() - start
     ok = agree == total and elapsed <= 300.0
-    report(capfd, ok, "engine vs brute force",
+    report(capfd, ok, "engine vs reference factorization",
            f"{agree}/{total} factorizations agree across 6 fields in {elapsed:.1f}s (cap 300s)")
 
 
@@ -222,13 +223,13 @@ def test_07_smooth_factorization_methods_agree(capfd):
 def test_08_factor_count_statistics(capfd):
     start = time.time()
     F2 = field_new(2)
-    exhaustive = [len(brute_factor(f)[1]) for f in all_monic(F2, 8)]
+    exhaustive = [len(reference_factor(f)[1]) for f in all_monic(F2, 8)]
     exh_mean = sum(exhaustive) / len(exhaustive)
     rng = make_rng(5882353)
     trials = 2000
     sampled = 0
     for _ in range(trials):
-        sampled += len(brute_factor(random_monic(F2, 8, rng))[1])
+        sampled += len(reference_factor(random_monic(F2, 8, rng))[1])
     samp_mean = sampled / trials
     gap = abs(samp_mean - exh_mean)
 

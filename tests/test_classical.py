@@ -1,8 +1,8 @@
-"""The deterministic reference path: irreducibility, enumeration, brute force.
+"""The classical routines: irreducibility, the ladder and the EDF probe.
 
-These routines are the reference oracle for the engine tests, so they are
-checked against constructions, counting formulas and sympy's galoistools
-rather than other ffq code.
+The ladder is the shadow that ``ddf`` audits its parts against, so these
+routines are checked against constructions, counting formulas and sympy's
+galoistools rather than other ffq code.
 """
 
 import math
@@ -16,10 +16,7 @@ from ffq import errors, field_new
 from ffq.classical import (
     BLOCK_MIN,
     _composes,
-    brute_factor,
     distinct_degree_parts,
-    equal_degree_split_det,
-    irreducibles,
     is_irreducible,
     split_probe,
     splitting_degree,
@@ -41,7 +38,6 @@ from ffq.rng import make_rng
 
 from helpers import (
     all_monic,
-    count_classical_frobenius,
     count_irreducibles,
     distinct_irreducibles,
     ladder_by_powering,
@@ -118,17 +114,6 @@ def test_products_are_never_irreducible():
             a = random_monic(ctx, int(rng.integers(1, 5)), rng)
             b = random_monic(ctx, int(rng.integers(1, 5)), rng)
             assert not is_irreducible(a * b)
-
-
-def test_irreducibles_enumeration_is_complete():
-    for ctx, d in [(F2, 6), (F3, 4), (F5, 2), (F4, 3)]:
-        got = irreducibles(ctx, d)
-        want = [g for g in all_monic(ctx, d) if is_irreducible(g)]
-        assert sorted(got, key=Poly.sort_key) == sorted(want, key=Poly.sort_key)
-    with pytest.raises(errors.TooLarge):
-        irreducibles(F5, 7)
-    with pytest.raises(errors.BadInput):
-        irreducibles(F5, 0)
 
 
 def test_distinct_degree_parts_on_constructions():
@@ -236,25 +221,6 @@ PROBE_FIELDS = {
 }
 
 
-def test_equal_degree_split_recovers_constructed_factors(monkeypatch):
-    # F_101 probes its blocks in the Frobenius form; x^q mod f is computed
-    # once per call, not once per block.
-    calls = count_classical_frobenius(monkeypatch)
-    rng = make_rng(888)
-    for ctx in [F2, F3, F4, F5, PROBE_FIELDS["F101"]]:
-        for d, count in [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)]:
-            if count_irreducibles(ctx.q, d) < count:
-                continue
-            polys = distinct_irreducibles(ctx, [d] * count, rng)
-            f = product(ctx, polys)
-            calls.clear()
-            got = equal_degree_split_det(f, d)
-            assert got == sorted(polys, key=Poly.sort_key)
-            assert calls == ([f.degree] if d > 1 else []), (ctx.q, d, count)
-    with pytest.raises(errors.BadInput):
-        equal_degree_split_det(Poly(F2, [1, 1, 0, 1]), 2)
-
-
 def direct_probe(h, d, u):
     """The probe by its definition: gcd of h with u^((q^d-1)/2) - 1 for odd
     q, or with the absolute trace, dm - 1 squarings, in characteristic 2."""
@@ -350,50 +316,3 @@ def test_split_probe_route_and_product_counts(name, d, k):
         assert used == [(direct, 0), (direct, 0)]
     if (name, d, k) == ("F2^61-1", 10, 2):
         assert fold_modcomps(d) == 7 and 3 * mul < direct == 903
-
-
-def test_brute_factor_reconstructs_random_inputs():
-    rng = make_rng(999)
-    for ctx in [F2, F3, F4, F5]:
-        for _ in range(30):
-            n = int(rng.integers(1, 12))
-            f = random_monic(ctx, n, rng)
-            if int(rng.integers(0, 2)):
-                f = f.scaled(ctx.from_index(1 + int(rng.integers(0, ctx.q - 1))))
-            unit, pairs = brute_factor(f)
-            acc = Poly.const(ctx, unit)
-            for g, mult in pairs:
-                assert g.is_monic() and is_irreducible(g)
-                for _ in range(mult):
-                    acc = acc * g
-            assert acc == f
-            degs = [g.sort_key() for g, _ in pairs]
-            assert degs == sorted(degs)
-
-
-def test_brute_factor_handles_pth_powers():
-    # x^2 over F_2, (x + 1)^9 over F_3, and x^q - x which splits into linears
-    unit, pairs = brute_factor(Poly(F2, [0, 0, 1]))
-    assert unit == 1 and pairs == [(Poly(F2, [0, 1]), 2)]
-    xp1 = Poly(F3, [1, 1])
-    f = Poly.one(F3)
-    for _ in range(9):
-        f = f * xp1
-    assert brute_factor(f) == (1, [(xp1, 9)])
-    for ctx in [F2, F3, F5]:
-        q = ctx.q
-        xq_minus_x = Poly(ctx, [ctx.zero] * q + [ctx.one]) - Poly(ctx, [ctx.zero, ctx.one])
-        unit, pairs = brute_factor(xq_minus_x)
-        assert len(pairs) == q and all(g.degree == 1 and m == 1 for g, m in pairs)
-
-
-def test_brute_factor_guard_rails():
-    rng = make_rng(1001)
-    with pytest.raises(errors.TooLarge):
-        brute_factor(random_monic(F2, 25, rng))
-    big = field_new(1048583)  # q just above 2^20
-    with pytest.raises(errors.TooLarge):
-        brute_factor(random_monic(big, 3, rng))
-    with pytest.raises(errors.BadInput):
-        brute_factor(Poly.zero(F2))
-    assert brute_factor(Poly(F5, [3])) == (3, [])

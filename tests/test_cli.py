@@ -7,10 +7,11 @@ import jsonschema
 import pytest
 
 from ffq import errors, field_new
-from ffq.classical import brute_factor
 from ffq.cli import main
 from ffq.poly import random_monic
 from ffq.rng import trial_rng
+
+from reference_factor import reference_factor
 
 
 def load_schema(name):
@@ -219,7 +220,7 @@ def test_stats_factor_count_matches_brute_force(capsys, field_args, ctx_args, n,
     ctx = field_new(*ctx_args)
     expected = {}
     for i in range(trials):
-        _, fac = brute_factor(random_monic(ctx, n, trial_rng(seed, i)))
+        _, fac = reference_factor(random_monic(ctx, n, trial_rng(seed, i)))
         c = sum(m for _, m in fac) if with_multiplicity else len(fac)
         expected[str(c)] = expected.get(str(c), 0) + 1
     assert payload["histogram"] == expected

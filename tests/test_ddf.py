@@ -307,6 +307,33 @@ def test_ddf_detects_a_lying_oracle():
         ddf(f, LyingOracle(), make_rng(173))
 
 
+class MislabellingOracle(OrderOracle):
+    """Answers 2, then 1: on a degree-4 irreducible, the orders of sigma and
+    sigma^2 are 4 and 2, so the engine emits the input as a part of degree 2."""
+
+    def __init__(self):
+        super().__init__(OracleConfig())
+        self.answers = [2, 1]
+
+    def estimate(self, s, ell, rng, true_order=None):
+        return OrderEstimate(self.answers.pop(0), 1)
+
+
+def test_ddf_audits_its_parts_against_the_shadow(capsys, monkeypatch):
+    import ffq.cli as cli
+
+    f = Poly(F2, [1, 1, 0, 0, 1])  # x^4 + x + 1, irreducible
+    trace = []
+    with pytest.raises(errors.InvariantViolation, match="shadow"):
+        ddf(f, MislabellingOracle(), make_rng(5), trace=trace)
+    # The part (f, 2) passes the other audits: it multiplies back to f, and
+    # its label 2 divides its degree 4.
+    assert [rec["emitted"] for rec in trace] == [[], [[2, 4]]]
+    monkeypatch.setattr(cli, "_oracle_from", lambda args: MislabellingOracle())
+    assert cli.main(["ddf", "--p", "2", "--poly", "x^4+x+1", "--seed", "1"]) == 2
+    assert "shadow" in capsys.readouterr().err
+
+
 def test_ddf_computes_the_powers_a_bare_estimate_lacks():
     class BareOracle(OrderOracle):
         # Answers like a foreign oracle: the order, without cofactor powers.

@@ -1,15 +1,16 @@
 """The order-driven ddf, the classical ladder and factor against independent
-oracles above the brute-force guard.
+oracles at degrees above those of the acceptance cross-check (test_01).
 
 Prime fields are checked against sympy's ``gf_ddf_zassenhaus`` and
 ``gf_factor``, which share no code with ffq; galoistools stores
 coefficients in descending order, so every comparison reverses the list.
 sympy has no F_{p^m}.  There the ladder is checked against the repeated
-powering reference ``helpers.ladder_by_powering``, ddf against the ladder,
-and factor by a certificate: the factors are distinct, monic and pass
-``classical.is_irreducible``, and they multiply back to the input.  Random
-inputs have degree >= 25, beyond the degree-24 guard of the brute-force
-cross-checks, so the engine recurses through several strides, gcd splits
+powering reference ``helpers.ladder_by_powering``, ddf against the ladder
+and against Berlekamp's factors (``reference_factor``), and factor against
+those factors where q <= 9, and otherwise by a certificate: the factors are
+distinct, monic and pass ``classical.is_irreducible``, and they multiply
+back to the input.  Random inputs have degree >= 25, beyond the degrees
+test_01 draws, so the engine recurses through several strides, gcd splits
 and inherited stride maps.  The ladder also runs on constructed shapes down
 to degree 2, for every branch of its loop, and as the fallback's strip
 (``extract_small_degrees``) against sympy's parts up to the strip's bound.
@@ -32,6 +33,7 @@ from ffq.poly import Poly, random_monic, random_squarefree, x_poly
 from ffq.rng import make_rng, trial_rng
 
 from helpers import distinct_irreducibles, ladder_by_powering, product
+from reference_factor import reference_factor
 
 WIDE = (1 << 61) - 1
 WIDER = (1 << 127) - 1
@@ -72,6 +74,13 @@ def test_ddf_matches_the_classical_ladder_over_extension_fields(p, m, h, n):
     f = random_squarefree(ctx, n, rng)
     res = ddf(f, OrderOracle(OracleConfig()), rng)
     assert res.parts == distinct_degree_parts(f)
+    # Each part's Berlekamp factors have its degree, and together they are
+    # the input's.
+    pieces = [(g, d) for part, d in res.parts for g, _ in reference_factor(part)[1]]
+    assert all(g.degree == d for g, d in pieces)
+    assert sorted((g for g, _ in pieces), key=Poly.sort_key) == [
+        g for g, _ in reference_factor(f)[1]
+    ]
 
 
 def test_forced_fallback_matches_sympy():
@@ -252,6 +261,8 @@ def test_factor_certificate_over_extension_fields(p, m, h, a, b):
     assert res.product(ctx) == f
     # g^2 divides f, so some factor has multiplicity at least 2
     assert max(k for _, k in res.factors) >= 2
+    if ctx.q <= 9:
+        assert (res.unit, res.factors) == reference_factor(f)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

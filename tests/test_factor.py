@@ -8,7 +8,7 @@ import pytest
 
 import ffq
 from ffq import errors, field_new
-from ffq.classical import _composes, brute_factor, is_irreducible
+from ffq.classical import _composes, is_irreducible
 from ffq.factor import Factorization, edf, factor, sff
 from ffq.order import OracleConfig, OrderOracle
 from ffq.poly import Poly, counters, frobenius, gcd, random_monic
@@ -21,6 +21,7 @@ from helpers import (
     product,
     rand_irreducible,
 )
+from reference_factor import reference_factor
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -61,7 +62,7 @@ def test_sff_handles_pth_power_multiplicities():
     ]
     for ctx, powers in cases:
         f = product(ctx, [g for g, m in powers for _ in range(m)])
-        _, irreducibles = brute_factor(f)
+        _, irreducibles = reference_factor(f)
         groups: dict[int, Poly] = {}
         for g, m in irreducibles:
             groups[m] = groups.get(m, Poly.one(ctx)) * g
@@ -178,7 +179,7 @@ def test_factor_agrees_with_brute_force():
                 f = f.scaled(ctx.from_index(1 + int(rng.integers(0, ctx.q - 1))))
             oracle = OrderOracle(OracleConfig())
             res = factor(f, oracle, rng)
-            unit, pairs = brute_factor(f)
+            unit, pairs = reference_factor(f)
             assert res.unit == unit and res.factors == pairs, (ctx.q, i)
 
 
